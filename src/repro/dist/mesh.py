@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..runtime.profiler import ExecutionStats
-from ..runtime.vm import VirtualMachine, VMError
+from ..runtime.vm import PlanCacheInfo, VirtualMachine, VMError
 from .interconnect import Interconnect
 
 
@@ -129,6 +129,12 @@ class MeshExecutor:
             vm.mesh = MeshContext(rank, world, self.channel)
             vm.interconnect = interconnect if world > 1 else None
             self.vms.append(vm)
+        # SPMD shards account identically — same executable, device,
+        # interconnect and world, and an abstract collective does not read
+        # the rank — so one replay-plan table serves them all: what rank 0
+        # interprets, ranks 1..N-1 replay.
+        for vm in self.vms[1:]:
+            vm.replay_plans = self.vms[0].replay_plans
 
     # -- execution ---------------------------------------------------------------
 
@@ -275,6 +281,16 @@ class MeshVM:
         for vm in self.mesh.vms:
             vm.reset_stats(reset_pool=reset_pool)
         return before
+
+    def plan_cache_info(self) -> PlanCacheInfo:
+        """Replay-plan counters summed over the shards; a table the
+        shards share counts its plans once."""
+        vms = self.mesh.vms
+        hits, misses, _, interpreted = map(sum, zip(
+            *(vm.plan_cache_info() for vm in vms)))
+        tables = {id(vm.replay_plans): vm.replay_plans for vm in vms}
+        return PlanCacheInfo(hits, misses, sum(map(len, tables.values())),
+                             interpreted)
 
     @property
     def tracer(self):

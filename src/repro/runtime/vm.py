@@ -20,8 +20,10 @@ feed the Table 2 memory numbers.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -263,6 +265,155 @@ def ccl_combine(kind: str, chunks: List[np.ndarray], rank: int,
     raise VMError(f"unknown collective ccl.{kind!r}")
 
 
+# -- replay plans -------------------------------------------------------------------
+#
+# An abstract call's accounting is decided by its signature alone, so the VM
+# records, per signature, the flat sequence of effects interpretation produced
+# and applies it to the live stats, pool and storages on every later call
+# (DESIGN.md §16).  A plan's ``ops`` is an int stream — an op code followed by
+# its operands — and ``times`` holds every float term in the order the
+# interpreter added it.
+
+_OP_KERNELS = 0  # n: the next n times are kernel / library times
+_OP_CLOCK = 1    # the next time is a bare clock term
+_OP_WIRE = 2     # the next time is interconnect time
+_OP_ALLOC = 3    # size, flags: pool allocation
+_OP_RELEASE = 4  # size: pool release
+_OP_STORAGE = 5  # index into ``storages``: planned-storage check
+_ESCAPES = 1     # _OP_ALLOC flag: the block holds a returned value
+_CHARGED = 2     # _OP_ALLOC flag: a fresh block costs device.alloc_overhead
+
+
+class _PlanRecorder:
+    """The accounting effects of one interpreted call, in order."""
+
+    def __init__(self):
+        self.ops = array("q")
+        self.times = array("d")
+        self.storages: List[Tuple] = []
+        #: Set when the call was a graph replay (the capture key it hit).
+        self.graph_key: Optional[Tuple] = None
+        self._run = -1  # where in ``ops`` the open kernel run keeps its count
+
+    def kernel(self, time: float) -> None:
+        if self._run < 0:
+            self.ops.extend((_OP_KERNELS, 0))
+            self._run = len(self.ops) - 1
+        self.ops[self._run] += 1
+        self.times.append(time)
+
+    def _op(self, *words: int) -> None:
+        self._run = -1
+        self.ops.extend(words)
+
+    def clock(self, time: float) -> None:
+        self._op(_OP_CLOCK)
+        self.times.append(time)
+
+    def wire(self, time: float) -> None:
+        self._op(_OP_WIRE)
+        self.times.append(time)
+
+    def alloc(self, size: int, escapes: bool, charged: bool) -> None:
+        self._op(_OP_ALLOC, size,
+                 (_ESCAPES if escapes else 0) | (_CHARGED if charged else 0))
+
+    def release(self, size: int) -> None:
+        self._op(_OP_RELEASE, size)
+
+    def storage(self, key: Tuple, size: int, escapes: bool) -> None:
+        self._op(_OP_STORAGE, len(self.storages))
+        self.storages.append((key, size, escapes))
+
+
+class _TensorSpec(NamedTuple):
+    """A tensor of a plan's result template."""
+
+    shape: Tuple[int, ...]
+    dtype: str
+    storage_key: Optional[Tuple]  # into the live ``_storage_cache``
+
+
+class _Unrecordable(Exception):
+    """The call's result cannot be rebuilt from a template."""
+
+
+class _Plan(NamedTuple):
+    #: The function the plan was recorded from (an executable is mutable).
+    func: "VMFunction"
+    #: The capture key of the graph a replay-mode plan replays, else None.
+    graph_key: Optional[Tuple]
+    ops: array
+    times: array
+    storages: Tuple[Tuple, ...]
+    kernel_launches: int
+    lib_calls: int
+    builtin_calls: int
+    result: object
+
+
+class ReplayPlans:
+    """Replay plans recorded under one ``context``: the executable, device,
+    library registry, interconnect and mesh world — everything besides the
+    call's own signature that abstract accounting reads.  The shard VMs of
+    a mesh share one table (abstract collectives do not read the rank)."""
+
+    def __init__(self, context: Tuple):
+        self.context = context
+        self.plans: Dict[Tuple, _Plan] = {}
+        self._interned: Dict[Tuple, Tuple] = {}
+
+    def intern(self, value: Tuple) -> Tuple:
+        """One object per distinct argument description, storage op,
+        capture key or result tensor: plans repeat the same few."""
+        return self._interned.setdefault(value, value)
+
+    def __len__(self) -> int:
+        return len(self.plans)
+
+
+class PlanCacheInfo(NamedTuple):
+    """What :meth:`VirtualMachine.plan_cache_info` returns, modelled on
+    ``functools.lru_cache``'s ``cache_info()``."""
+
+    hits: int
+    misses: int
+    plans: int
+    #: Calls that ran the interpreter: the misses, plus every call the
+    #: plans do not cover (concrete, traced, undescribable argument).
+    interpreted_calls: int
+
+
+def _describe(args) -> Optional[List[Tuple]]:
+    """One tuple per argument holding everything abstract interpretation
+    can read from it; None when an argument is of a kind this cannot
+    describe.
+
+    ``MatchShape`` checks dtypes, ``KillTensor`` tells planned tensors from
+    pool ones, and ``True == 1``: all three are spelled out.
+    """
+    sig = []
+    for arg in args:
+        kind = type(arg)
+        if kind is NDArray:
+            if arg.storage is None:
+                sig.append((arg.dtype, *arg.shape))
+            else:
+                sig.append((Storage, arg.dtype, *arg.shape))
+        elif kind is ShapeTuple:
+            sig.append((kind, *arg.values))
+        elif kind is int or kind is bool:
+            sig.append((kind, arg))
+        elif kind is tuple:
+            inner = _describe(arg)
+            if inner is None:
+                return None
+            sig.append((kind, *inner))
+        else:
+            return None
+    return sig
+
+
 class VirtualMachine:
     """Interprets an Executable on a modeled device.
 
@@ -301,12 +452,43 @@ class VirtualMachine:
         self._cost_cache: Dict[Tuple, Tuple[int, int]] = {}
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
+        self._plans: Optional[ReplayPlans] = None
+        self._recorder: Optional[_PlanRecorder] = None
+        self._plan_hits = 0
+        self._plan_misses = 0
+        self._interpreted_calls = 0
 
     # -- public API ------------------------------------------------------------
 
     def run(self, func_name: str, *args):
-        """Invoke a VM function with NDArray / ShapeTuple / int arguments."""
-        return self._call(func_name, list(args))
+        """Invoke a VM function with NDArray / ShapeTuple / int arguments.
+
+        An abstract, untraced call whose signature was seen before applies
+        its recorded replay plan instead of interpreting; every simulated
+        number comes out the same either way (see :class:`ReplayPlans`).
+        """
+        func = self.exe.functions.get(func_name)
+        sig = None
+        if not self.concrete and self.tracer is None and func is not None:
+            sig = _describe(args)
+        if sig is None:
+            self._interpreted_calls += 1
+            return self._call(func_name, list(args))
+        replays = bool(func.attrs.get("cuda_graph") and self.enable_cuda_graph)
+        key = (func_name, replays, *sig)
+        table = self.replay_plans
+        plan = table.plans.get(key)
+        # A replay-mode plan also needs *this* VM to have captured the
+        # graph: a mesh peer may have recorded it.
+        if plan is not None and plan.func is func and (
+                plan.graph_key is None or plan.graph_key in self._graph_cache):
+            self._plan_hits += 1
+            return self._apply_plan(plan)
+
+        self._plan_misses += 1
+        self._interpreted_calls += 1
+        key = (func_name, replays, *map(table.intern, sig))
+        return self._record_plan(table, key, func_name, func, args)
 
     def reset_stats(self, *, reset_pool: bool = True) -> ExecutionStats:
         """Start a fresh :class:`ExecutionStats` window; returns the old one.
@@ -330,6 +512,176 @@ class VirtualMachine:
             self.pool.stats = self.stats
         return old
 
+    @property
+    def replay_plans(self) -> ReplayPlans:
+        """The plan table valid for this VM as it is placed now.
+
+        A table recorded under another device, registry, interconnect,
+        executable or mesh world is never consulted: it is replaced by an
+        empty one here.  Assign a peer's table to share it.
+        """
+        mesh = self.mesh
+        context = (self.exe, self.device, self.registry, self.interconnect,
+                   None if mesh is None else mesh.world)
+        table = self._plans
+        if table is None or table.context != context:
+            table = self._plans = ReplayPlans(context)
+        return table
+
+    @replay_plans.setter
+    def replay_plans(self, table: ReplayPlans) -> None:
+        self._plans = table
+
+    def plan_cache_info(self) -> PlanCacheInfo:
+        """Replay-plan counters of this VM (diagnostic; in no report)."""
+        return PlanCacheInfo(self._plan_hits, self._plan_misses,
+                             len(self.replay_plans), self._interpreted_calls)
+
+    # -- replay plans -------------------------------------------------------------
+
+    def _record_plan(self, table: ReplayPlans, key: Tuple, func_name: str,
+                     func: VMFunction, args):
+        """Interpret the call and keep its effects as the plan for ``key``.
+
+        Nothing is kept when the call raises, captures a graph or makes a
+        nested call (the interpreter drops the recorder), or returns a
+        value :meth:`_result_template` cannot describe.
+        """
+        stats = self.stats
+        counts = (stats.kernel_launches, stats.lib_calls, stats.builtin_calls)
+        self._recorder = _PlanRecorder()
+        try:
+            result = self._call(func_name, list(args))
+            recorder = self._recorder
+        finally:
+            self._recorder = None
+        if recorder is not None:
+            try:
+                template = self._result_template(table, result, args)
+            except _Unrecordable:
+                return result
+            graph_key = recorder.graph_key
+            table.plans[key] = _Plan(
+                func,
+                None if graph_key is None else table.intern(graph_key),
+                recorder.ops, recorder.times,
+                tuple(map(table.intern, recorder.storages)),
+                stats.kernel_launches - counts[0],
+                stats.lib_calls - counts[1],
+                stats.builtin_calls - counts[2],
+                template,
+            )
+        return result
+
+    def _result_template(self, table: ReplayPlans, result, args):
+        """``result`` with every tensor replaced by a :class:`_TensorSpec`.
+
+        Raises :class:`_Unrecordable` for a tensor that aliases an argument
+        (the caller's object, not ours to rebuild) or a value of a kind a
+        template cannot hold.
+        """
+        arg_ids = set()
+        pending = list(args)
+        while pending:
+            arg = pending.pop()
+            if type(arg) is tuple:
+                pending.extend(arg)
+            else:
+                arg_ids.add(id(arg))
+        storage_keys = {id(s): k for k, s in self._storage_cache.items()}
+
+        def build(value):
+            kind = type(value)
+            if kind is tuple:
+                return tuple([build(v) for v in value])
+            if kind is ShapeTuple or kind is int or kind is bool:
+                return value  # immutable: every replay may return this one
+            if kind is not NDArray or id(value) in arg_ids:
+                raise _Unrecordable
+            key = None
+            if value.storage is not None:
+                key = storage_keys.get(id(value.storage))
+                if key is None:
+                    raise _Unrecordable
+            return table.intern(_TensorSpec(value.shape, value.dtype, key))
+
+        return build(result)
+
+    def _instantiate(self, template):
+        kind = type(template)
+        if kind is _TensorSpec:
+            shape, dtype, key = template
+            storage = None if key is None else self._storage_cache[key]
+            return NDArray(shape, dtype, storage=storage)
+        if kind is tuple:
+            return tuple([self._instantiate(t) for t in template])
+        return template
+
+    def _apply_plan(self, plan: _Plan):
+        """Replay ``plan`` against the live stats, pool and storages.
+
+        Each float field receives its recorded terms one at a time in
+        recorded order — float addition is not associative, and this is
+        what keeps a replayed clock bit-identical to an interpreted one.
+        Pool reuse and storage resizes are decided here, against live
+        state, by the same code interpretation uses.
+        """
+        stats = self.stats
+        time_s = stats.time_s
+        kernel_s = stats.kernel_time_s
+        comm_s = stats.comm_time_s
+        ops, times, storages = plan.ops, plan.times, plan.storages
+        i = t = 0
+        end = len(ops)
+        while i < end:
+            op = ops[i]
+            if op == _OP_KERNELS:
+                stop = t + ops[i + 1]
+                for dt in times[t:stop]:
+                    time_s += dt
+                    kernel_s += dt
+                t = stop
+                i += 2
+            elif op == _OP_STORAGE:
+                stats.time_s = time_s
+                self._storage(*storages[ops[i + 1]])
+                time_s = stats.time_s
+                i += 2
+            elif op == _OP_ALLOC:
+                flags = ops[i + 2]
+                stats.time_s = time_s
+                self._pool_allocate(ops[i + 1], bool(flags & _ESCAPES),
+                                    charged=bool(flags & _CHARGED))
+                time_s = stats.time_s
+                i += 3
+            elif op == _OP_RELEASE:
+                self.pool.release(ops[i + 1])
+                i += 2
+            else:
+                dt = times[t]
+                time_s += dt
+                if op == _OP_WIRE:
+                    comm_s += dt
+                t += 1
+                i += 1
+        stats.time_s = time_s
+        stats.kernel_time_s = kernel_s
+        stats.comm_time_s = comm_s
+        launches = plan.kernel_launches + plan.lib_calls
+        if plan.graph_key is None:
+            launch_s = stats.launch_overhead_s
+            overhead = self.device.kernel_launch_overhead
+            for _ in range(launches):
+                launch_s += overhead
+            stats.launch_overhead_s = launch_s
+        else:
+            stats.graph_replays += 1
+            stats.replayed_kernels += launches
+        stats.kernel_launches += plan.kernel_launches
+        stats.lib_calls += plan.lib_calls
+        stats.builtin_calls += plan.builtin_calls
+        return self._instantiate(plan.result)
+
     # -- function invocation ------------------------------------------------------
 
     def _call(self, func_name: str, args: List):
@@ -349,8 +701,12 @@ class VirtualMachine:
         if use_graph:
             key = (func_name, self._graph_signature(func, args))
             if key in self._graph_cache:
+                if self._recorder is not None:
+                    self._recorder.graph_key = key
                 return self._run_replayed(func, args)
-            # First run with this shape signature: capture.
+            # First run with this shape signature: capture.  A capture
+            # happens once, so it is never what a replay plan holds.
+            self._recorder = None
             self.stats.graph_captures += 1
             capture_s = 10 * self.device.kernel_launch_overhead
             if self.tracer is not None:
@@ -375,7 +731,7 @@ class VirtualMachine:
         if self.tracer is not None:
             self.tracer.emit("graph_replay", func.name, self.stats.time_s,
                              self.device.graph_launch_overhead, kernels=replayed)
-        self.stats.time_s += self.device.graph_launch_overhead
+        self._charge(self.device.graph_launch_overhead)
         return result
 
     @staticmethod
@@ -390,12 +746,14 @@ class VirtualMachine:
         dynamic = func.attrs.get("graph_dynamic_dims") or {}
         sig = []
         for i, arg in enumerate(args):
-            skip = set(dynamic.get(i, ()))
             if isinstance(arg, NDArray):
-                dims = tuple(
-                    -1 if d in skip else v for d, v in enumerate(arg.shape)
-                )
-                sig.append(("t",) + dims)
+                skip = dynamic.get(i)
+                if skip:
+                    sig.append(("t",) + tuple(
+                        -1 if d in skip else v for d, v in enumerate(arg.shape)
+                    ))
+                else:
+                    sig.append(("t",) + arg.shape)
             else:
                 sig.append(VirtualMachine._signature([arg])[0])
         return tuple(sig)
@@ -428,60 +786,62 @@ class VirtualMachine:
     # -- instruction dispatch --------------------------------------------------------
 
     def _exec_block(self, func: VMFunction, body: List[Instr], frame: _Frame):
+        dispatch = _DISPATCH
         for instr in body:
-            if isinstance(instr, Ret):
+            kind = type(instr)
+            if kind is Ret:
                 return frame.regs[instr.reg]
-            self._exec_instr(func, instr, frame)
+            handler = dispatch.get(kind)
+            if handler is None:
+                raise VMError(f"unknown instruction {kind.__name__}")
+            handler(self, func, instr, frame)
         return _NO_RETURN
 
-    def _exec_instr(self, func: VMFunction, instr: Instr, frame: _Frame) -> None:
-        if isinstance(instr, MatchShape):
-            self._exec_match_shape(instr, frame)
-        elif isinstance(instr, ComputeShape):
-            env = {var: int(frame.heap[slot]) for var, slot in instr.var_slots}
-            frame.heap[instr.dst_slot] = sym.evaluate(instr.expr, env)
-        elif isinstance(instr, MakeShape):
-            frame.regs[instr.dst] = ShapeTuple(
-                [self._dim_value(d, frame) for d in instr.dims]
-            )
-        elif isinstance(instr, LoadConst):
-            frame.regs[instr.dst] = self._load_const(instr.const_idx)
-        elif isinstance(instr, AllocStorage):
-            frame.regs[instr.dst] = self._alloc_storage(func, instr, frame)
-        elif isinstance(instr, AllocTensor):
-            frame.regs[instr.dst] = self._alloc_tensor(instr, frame)
-        elif isinstance(instr, KillTensor):
-            arr = frame.regs[instr.reg]
-            if isinstance(arr, NDArray) and arr.storage is None:
-                self.pool.release(arr.size_bytes())
-                if self.tracer is not None:
-                    self.tracer.emit("free", "pool_tensor", self.stats.time_s,
-                                     0.0, instr.prov, size=arr.size_bytes())
-            frame.regs[instr.reg] = None
-        elif isinstance(instr, CallTir):
-            self._exec_call_tir(instr, frame)
-        elif isinstance(instr, CallLib):
-            self._exec_call_lib(instr, frame)
-        elif isinstance(instr, CallBuiltin):
-            self._exec_builtin(instr, frame)
-        elif isinstance(instr, CallFunc):
-            callee_args = [frame.regs[r] for r in instr.args]
-            frame.regs[instr.dst] = self._call(instr.func, callee_args)
-        elif isinstance(instr, MakeTupleI):
-            frame.regs[instr.dst] = tuple(frame.regs[r] for r in instr.srcs)
-        elif isinstance(instr, GetItemI):
-            frame.regs[instr.dst] = frame.regs[instr.src][instr.index]
-        elif isinstance(instr, If):
-            cond = frame.regs[instr.cond]
-            taken = self._truth_value(cond)
-            body = instr.then_body if taken else instr.else_body
-            out = instr.then_out if taken else instr.else_out
-            result = self._exec_block(func, body, frame)
-            if result is not _NO_RETURN:
-                raise VMError("Ret inside If branches is not supported")
-            frame.regs[instr.dst] = frame.regs[out]
-        else:
-            raise VMError(f"unknown instruction {type(instr).__name__}")
+    def _exec_compute_shape(self, func, instr: ComputeShape, frame: _Frame) -> None:
+        env = {var: int(frame.heap[slot]) for var, slot in instr.var_slots}
+        frame.heap[instr.dst_slot] = sym.evaluate(instr.expr, env)
+
+    def _exec_make_shape(self, func, instr: MakeShape, frame: _Frame) -> None:
+        frame.regs[instr.dst] = ShapeTuple(
+            [self._dim_value(d, frame) for d in instr.dims]
+        )
+
+    def _exec_load_const(self, func, instr: LoadConst, frame: _Frame) -> None:
+        frame.regs[instr.dst] = self._load_const(instr.const_idx)
+
+    def _exec_kill_tensor(self, func, instr: KillTensor, frame: _Frame) -> None:
+        arr = frame.regs[instr.reg]
+        if isinstance(arr, NDArray) and arr.storage is None:
+            size = arr.size_bytes()
+            self.pool.release(size)
+            if self._recorder is not None:
+                self._recorder.release(size)
+            if self.tracer is not None:
+                self.tracer.emit("free", "pool_tensor", self.stats.time_s,
+                                 0.0, instr.prov, size=size)
+        frame.regs[instr.reg] = None
+
+    def _exec_call_func(self, func, instr: CallFunc, frame: _Frame) -> None:
+        # A callee may capture or replay a graph of its own: the effects
+        # of this call are not one flat plan.
+        self._recorder = None
+        callee_args = [frame.regs[r] for r in instr.args]
+        frame.regs[instr.dst] = self._call(instr.func, callee_args)
+
+    def _exec_make_tuple(self, func, instr: MakeTupleI, frame: _Frame) -> None:
+        frame.regs[instr.dst] = tuple(frame.regs[r] for r in instr.srcs)
+
+    def _exec_get_item(self, func, instr: GetItemI, frame: _Frame) -> None:
+        frame.regs[instr.dst] = frame.regs[instr.src][instr.index]
+
+    def _exec_if(self, func: VMFunction, instr: If, frame: _Frame) -> None:
+        taken = self._truth_value(frame.regs[instr.cond])
+        body = instr.then_body if taken else instr.else_body
+        out = instr.then_out if taken else instr.else_out
+        result = self._exec_block(func, body, frame)
+        if result is not _NO_RETURN:
+            raise VMError("Ret inside If branches is not supported")
+        frame.regs[instr.dst] = frame.regs[out]
 
     # -- shape machinery -------------------------------------------------------------
 
@@ -491,7 +851,7 @@ class VirtualMachine:
             return payload
         return int(frame.heap[payload])
 
-    def _exec_match_shape(self, instr: MatchShape, frame: _Frame) -> None:
+    def _exec_match_shape(self, func, instr: MatchShape, frame: _Frame) -> None:
         value = frame.regs[instr.reg]
         if isinstance(value, NDArray):
             shape = value.shape
@@ -528,9 +888,24 @@ class VirtualMachine:
 
     # -- memory ------------------------------------------------------------------------
 
-    def _alloc_storage(self, func: VMFunction, instr: AllocStorage, frame: _Frame) -> Storage:
-        size = self._dim_value(instr.size, frame)
+    def _charge(self, seconds: float) -> None:
+        """A bare clock term (no kernel, no wire)."""
+        self.stats.time_s += seconds
+        if self._recorder is not None:
+            self._recorder.clock(seconds)
+
+    def _exec_alloc_storage(self, func: VMFunction, instr: AllocStorage,
+                            frame: _Frame) -> None:
         key = (func.name, id(instr))
+        size = self._dim_value(instr.size, frame)
+        if self._recorder is not None:
+            self._recorder.storage(key, size, instr.escapes)
+        frame.regs[instr.dst] = self._storage(key, size, instr.escapes,
+                                              instr.prov)
+
+    def _storage(self, key: Tuple[str, int], size: int, escapes: bool,
+                 prov: Tuple[str, ...] = ()) -> Storage:
+        """The planned storage ``key``, allocated or resized on demand."""
         cached = self._storage_cache.get(key)
         if cached is not None and cached.size == size:
             return cached
@@ -538,44 +913,58 @@ class VirtualMachine:
             self.stats.record_free(cached.size)
             if self.tracer is not None:
                 self.tracer.emit("free", "storage", self.stats.time_s, 0.0,
-                                 instr.prov, size=cached.size, resized=True)
-        self.stats.record_alloc(size, instr.escapes)
+                                 prov, size=cached.size, resized=True)
+        self.stats.record_alloc(size, escapes)
         if self.tracer is not None:
             self.tracer.emit("alloc", "storage", self.stats.time_s,
-                             self.device.alloc_overhead, instr.prov,
-                             size=size, escapes=instr.escapes)
+                             self.device.alloc_overhead, prov,
+                             size=size, escapes=escapes)
         self.stats.time_s += self.device.alloc_overhead
         storage = Storage(size, self.concrete)
         self._storage_cache[key] = storage
         return storage
 
-    def _alloc_tensor(self, instr: AllocTensor, frame: _Frame) -> NDArray:
+    def _exec_alloc_tensor(self, func, instr: AllocTensor, frame: _Frame) -> None:
         shape = [self._dim_value(d, frame) for d in instr.dims]
         if instr.storage is not None:
             storage = frame.regs[instr.storage]
             if not isinstance(storage, Storage):
                 raise VMError("AllocTensor storage register does not hold a Storage")
-            needed = int(np.prod(shape, dtype=np.int64)) * dtypes.itemsize(instr.dtype) if shape else dtypes.itemsize(instr.dtype)
+            needed = math.prod(shape) * dtypes.itemsize(instr.dtype)
             if needed > storage.size:
                 raise VMError(
                     f"tensor of {needed} bytes does not fit storage of {storage.size}"
                 )
-            return NDArray.empty(shape, instr.dtype, self.concrete, storage=storage)
+            frame.regs[instr.dst] = NDArray.empty(
+                shape, instr.dtype, self.concrete, storage=storage)
+            return
         arr = NDArray.empty(shape, instr.dtype, self.concrete)
-        reused = self.pool.allocate(arr.size_bytes(), instr.escapes)
+        size = arr.size_bytes()
+        ts = self.stats.time_s
+        reused = self._pool_allocate(size, instr.escapes, charged=True)
         if self.tracer is not None:
             self.tracer.emit(
-                "alloc", "pool_tensor", self.stats.time_s,
+                "alloc", "pool_tensor", ts,
                 0.0 if reused else self.device.alloc_overhead, instr.prov,
-                size=arr.size_bytes(), escapes=instr.escapes, reused=reused,
+                size=size, escapes=instr.escapes, reused=reused,
             )
-        if not reused:
+        frame.regs[instr.dst] = arr
+
+    def _pool_allocate(self, size: int, escapes: bool = False, *,
+                       charged: bool = False) -> bool:
+        """Take ``size`` bytes from the pool; True when a block was reused.
+        A ``charged`` allocation (a tensor's; a builtin's result is not)
+        pays ``alloc_overhead`` for a fresh block."""
+        if self._recorder is not None:
+            self._recorder.alloc(size, escapes, charged)
+        reused = self.pool.allocate(size, escapes)
+        if charged and not reused:
             self.stats.time_s += self.device.alloc_overhead
-        return arr
+        return reused
 
     # -- kernels -----------------------------------------------------------------------
 
-    def _exec_call_tir(self, instr: CallTir, frame: _Frame) -> None:
+    def _exec_call_tir(self, caller, instr: CallTir, frame: _Frame) -> None:
         if instr.func not in self.exe.tir_funcs:
             raise VMError(f"no tensor program named {instr.func!r}")
         func = self.exe.tir_funcs[instr.func]
@@ -600,7 +989,7 @@ class VirtualMachine:
             if event is not None and self.tracer.capture_outputs:
                 event.outputs = [o.numpy().copy() for o in outputs]
 
-    def _exec_call_lib(self, instr: CallLib, frame: _Frame) -> None:
+    def _exec_call_lib(self, func, instr: CallLib, frame: _Frame) -> None:
         kernel = self.registry.get(instr.name)
         if self.device.backend not in kernel.backends:
             raise VMError(
@@ -632,10 +1021,7 @@ class VirtualMachine:
                 replayed=not include_launch,
                 shapes=[list(a.shape) for a in inputs + outputs],
             )
-        self.stats.time_s += time
-        self.stats.kernel_time_s += time
-        if include_launch:
-            self.stats.launch_overhead_s += self.device.kernel_launch_overhead
+        self._charge_kernel(time, include_launch)
         self.stats.lib_calls += 1
         if self.concrete:
             kernel.compute([a.numpy() for a in inputs], [a.numpy() for a in outputs])
@@ -681,12 +1067,18 @@ class VirtualMachine:
                 shapes=[list(a.shape) for a in list(inputs) + list(outputs)],
                 sym={var.name: int(v) for var, v in (bindings or {}).items()},
             )
-        self.stats.time_s += time
-        self.stats.kernel_time_s += time
-        if include_launch:
-            self.stats.launch_overhead_s += self.device.kernel_launch_overhead
+        self._charge_kernel(time, include_launch)
         self.stats.kernel_launches += 1
         return event
+
+    def _charge_kernel(self, time: float, launched: bool) -> None:
+        stats = self.stats
+        stats.time_s += time
+        stats.kernel_time_s += time
+        if launched:
+            stats.launch_overhead_s += self.device.kernel_launch_overhead
+        if self._recorder is not None:
+            self._recorder.kernel(time)
 
     def _bind_shapes(self, func: tir.PrimFunc, arrays: List[NDArray], sym_values):
         bindings: Dict[sym.SymVar, int] = {}
@@ -710,7 +1102,7 @@ class VirtualMachine:
 
     # -- builtins -----------------------------------------------------------------------
 
-    def _exec_builtin(self, instr: CallBuiltin, frame: _Frame) -> None:
+    def _exec_builtin(self, func, instr: CallBuiltin, frame: _Frame) -> None:
         args = [frame.regs[r] for r in instr.args]
         self.stats.builtin_calls += 1
         ts = self.stats.time_s
@@ -735,15 +1127,15 @@ class VirtualMachine:
             frame.regs[instr.dst] = result
 
     def _builtin_unique(self, arr: NDArray) -> NDArray:
-        self.stats.time_s += self.device.kernel_launch_overhead * 2
+        self._charge(self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.unique(arr.numpy())
-            self.pool.allocate(out.nbytes)
+            self._pool_allocate(out.nbytes)
             return NDArray.from_numpy(out)
         # Abstract mode: data-dependent length is unknowable; use the upper
         # bound (every element distinct), matching §4.3's bound-based planning.
         result = NDArray.abstract((arr.num_elements(),), arr.dtype)
-        self.pool.allocate(result.size_bytes())
+        self._pool_allocate(result.size_bytes())
         return result
 
     def _builtin_ccl(self, kind: str, args: List) -> NDArray:
@@ -777,7 +1169,7 @@ class VirtualMachine:
 
         # One host-side enqueue, like every builtin; the wire time is the
         # interconnect's ring cost over the full logical payload.
-        self.stats.time_s += self.device.kernel_launch_overhead
+        self._charge(self.device.kernel_launch_overhead)
         if self.interconnect is not None and world > 1:
             full_bytes = arr.size_bytes()
             if kind == "all_gather":
@@ -787,6 +1179,8 @@ class VirtualMachine:
             )
             self.stats.time_s += comm_s
             self.stats.comm_time_s += comm_s
+            if self._recorder is not None:
+                self._recorder.wire(comm_s)
 
         if not self.concrete:
             shape = list(arr.shape)
@@ -800,7 +1194,7 @@ class VirtualMachine:
                     )
                 shape[extra] //= world
             result = NDArray.abstract(tuple(shape), arr.dtype)
-            self.pool.allocate(result.size_bytes())
+            self._pool_allocate(result.size_bytes())
             return result
 
         x = arr.numpy()
@@ -815,17 +1209,17 @@ class VirtualMachine:
             # Never alias a peer's (or our own) buffer: reduce_scatter
             # slices and broadcast returns the root's array directly.
             out = out.copy()
-        self.pool.allocate(out.nbytes)
+        self._pool_allocate(out.nbytes)
         return NDArray.from_numpy(out)
 
     def _builtin_nonzero(self, arr: NDArray) -> NDArray:
-        self.stats.time_s += self.device.kernel_launch_overhead * 2
+        self._charge(self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.flatnonzero(arr.numpy()).astype(np.int64)
-            self.pool.allocate(out.nbytes)
+            self._pool_allocate(out.nbytes)
             return NDArray.from_numpy(out)
         result = NDArray.abstract((arr.num_elements(),), "i64")
-        self.pool.allocate(result.size_bytes())
+        self._pool_allocate(result.size_bytes())
         return result
 
     # -- misc --------------------------------------------------------------------------
@@ -863,3 +1257,21 @@ class _NoReturn:
 
 
 _NO_RETURN = _NoReturn()
+
+#: Opcode dispatch (``Ret`` ends the block and is handled by the loop).
+_DISPATCH = {
+    MatchShape: VirtualMachine._exec_match_shape,
+    ComputeShape: VirtualMachine._exec_compute_shape,
+    MakeShape: VirtualMachine._exec_make_shape,
+    LoadConst: VirtualMachine._exec_load_const,
+    AllocStorage: VirtualMachine._exec_alloc_storage,
+    AllocTensor: VirtualMachine._exec_alloc_tensor,
+    KillTensor: VirtualMachine._exec_kill_tensor,
+    CallTir: VirtualMachine._exec_call_tir,
+    CallLib: VirtualMachine._exec_call_lib,
+    CallBuiltin: VirtualMachine._exec_builtin,
+    CallFunc: VirtualMachine._exec_call_func,
+    MakeTupleI: VirtualMachine._exec_make_tuple,
+    GetItemI: VirtualMachine._exec_get_item,
+    If: VirtualMachine._exec_if,
+}

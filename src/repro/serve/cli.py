@@ -347,6 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"ttft p50 {_ms(row['ttft_s']['p50'])}, "
                   f"step p50 {_ms(row['tpot_s']['p50'])}, "
                   f"p99 {_ms(row['tpot_s']['p99'])}")
+    _print_replay_plans([engine])
 
     for path in (args.workload_out, args.out, args.trace,
                  args.telemetry, args.prometheus):
@@ -374,6 +375,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f.write(report.telemetry.to_prometheus())
         print(f"prometheus-> {args.prometheus}")
     return 0
+
+
+def _print_replay_plans(engines) -> None:
+    """Footer line: how many VM calls were replayed from a plan instead of
+    interpreted.  Host-side only, so it is printed and never serialized."""
+    hits, misses, plans, interpreted = map(sum, zip(
+        *(engine.plan_cache_info() for engine in engines)))
+    calls = hits + interpreted
+    print(f"replay plans      {hits}/{calls} VM calls replayed "
+          f"({hits / max(calls, 1) * 100:.0f}%), {plans} plans, "
+          f"{interpreted} interpreted")
 
 
 def _run_cluster(args, cfg, device, engine_config, workload,
@@ -436,6 +448,7 @@ def _run_cluster(args, cfg, device, engine_config, workload,
         if "prefix_cache_hit_rate" in row:
             line += f", cache hits {row['prefix_cache_hit_rate'] * 100:.0f}%"
         print(line)
+    _print_replay_plans(cluster.engines)
 
     for path in (args.workload_out, args.out, args.trace):
         if path and os.path.dirname(path):

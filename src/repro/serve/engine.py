@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..models.llama import LlamaConfig, build_llama
-from ..runtime import NDArray, VirtualMachine
+from ..runtime import NDArray, PlanCacheInfo, VirtualMachine
 from ..runtime.device import Device
 from ..runtime.profiler import ExecutionStats
 from .kv_cache import CacheError, PagedKVCache
@@ -398,6 +398,12 @@ class ServingEngine:
     def clock(self) -> float:
         """The engine's analytical clock (0.0 outside a run)."""
         return self._run.clock if self._run is not None else 0.0
+
+    def plan_cache_info(self) -> PlanCacheInfo:
+        """Replay-plan counters summed over the engine's VMs.  Host-side
+        diagnostics only: they appear in no summary, report or trace."""
+        return PlanCacheInfo(*map(sum, zip(
+            *(vm.plan_cache_info() for vm in self._vms))))
 
     @property
     def active_run(self) -> Optional[_RunState]:

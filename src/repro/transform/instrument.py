@@ -133,14 +133,26 @@ class IRStats(PassInstrument):
 
     def __init__(self):
         self._before: List[Optional[Dict[str, int]]] = []
+        #: The module ``run_after_pass`` counted last, with its count: the
+        #: next pass is handed that very object, so it is not walked again.
+        self._counted: Optional[Tuple[IRModule, Dict[str, int]]] = None
+
+    def exit_pass_ctx(self, ctx) -> None:
+        self._counted = None
 
     def run_before_pass(self, mod, pass_, ctx) -> None:
-        stats = ir_stats(mod) if isinstance(mod, IRModule) else None
+        counted = self._counted
+        if counted is not None and counted[0] is mod:
+            stats = dict(counted[1])
+        else:
+            stats = ir_stats(mod) if isinstance(mod, IRModule) else None
         self._before.append(stats)
 
     def run_after_pass(self, mod, pass_, ctx) -> None:
         before = self._before.pop()
+        # Always walked: a pass may return its input, changed in place.
         after = ir_stats(mod) if isinstance(mod, IRModule) else None
+        self._counted = None if after is None else (mod, after)
         record = ctx.current_record
         if record is None or before is None or after is None:
             return

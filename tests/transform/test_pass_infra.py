@@ -141,6 +141,55 @@ class TestGoldenOutput:
             assert record.metrics["ir_after"]["relax_functions"] >= 1
         assert [r.name for r in report.skipped] == ["TuneTir"]
 
+    def test_ir_stats_walks_each_module_once_and_reports_the_same(self, monkeypatch):
+        """The module pass i returns is the one pass i+1 receives: IRStats
+        counts it once.  Every recorded before/after number equals a fresh
+        count — also around a pass that edits its input in place."""
+        from repro.transform import instrument
+
+        def add_a_function(mod, ctx):
+            _, func = next(iter(mod.tir_functions()))
+            mod.add("unused_copy", func)
+            return mod  # same object, now larger
+
+        walked = []
+        fresh_count = instrument.ir_stats
+
+        def counting(mod):
+            walked.append(mod)
+            return fresh_count(mod)
+
+        monkeypatch.setattr(instrument, "ir_stats", counting)
+        passes = [transform.get_pass(n) for n in ("LegalizeOps", "FuseOps")]
+        passes.insert(1, LambdaPass(add_a_function, name="InPlace"))
+
+        class Reference(PassInstrument):
+            """What IRStats recorded before: both ends freshly counted."""
+
+            def __init__(self):
+                self.rows = []
+
+            def run_before_pass(self, mod, pass_, ctx):
+                self.rows.append([fresh_count(mod)])
+
+            def run_after_pass(self, mod, pass_, ctx):
+                self.rows[-1].append(fresh_count(mod))
+
+        reference = Reference()
+        ctx = PassContext(device=TEST_DEVICE,
+                          instruments=[IRStats(), reference])
+        with ctx:
+            mod = _simple_module()
+            for p in passes:
+                mod = p(mod, ctx)
+        assert len(walked) == 1 + len(passes)  # was 2 * len(passes)
+        got = [[r.metrics["ir_before"], r.metrics["ir_after"]]
+               for r in ctx.report.executed]
+        assert got == reference.rows
+        in_place = got[1]
+        assert in_place[0]["tir_functions"] + 1 == in_place[1]["tir_functions"]
+        assert got[0][1] is not got[1][0]  # reused counts are copies
+
     def test_report_serializes(self):
         mod = _simple_module()
         ctx = PassContext(instruments=[Timing(), IRStats()])
