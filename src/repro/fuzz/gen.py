@@ -500,31 +500,10 @@ def _apply_attention(mat: Materializer, step: Step) -> ValueInfo:
                               causal=bool(step.attrs.get("causal", True))))
 
 
-def _apply_paged_attention(mat: Materializer, step: Step) -> ValueInfo:
+def _apply_paged(mat: Materializer, step: Step) -> ValueInfo:
+    # All four paged ops take their inputs positionally, in plan order.
     spec = fuzz_spec(step.op)
-    q, kp, vp, bt, ln, kc, vc = _vals(mat, step)
-    return mat.emit(spec.make(q.var, kp.var, vp.var, bt.var, ln.var,
-                              kc.var, vc.var))
-
-
-def _apply_paged_prefill(mat: Materializer, step: Step) -> ValueInfo:
-    spec = fuzz_spec(step.op)
-    q, kp, vp, bt, mp, kc, vc = _vals(mat, step)
-    return mat.emit(spec.make(q.var, kp.var, vp.var, bt.var, mp.var,
-                              kc.var, vc.var))
-
-
-def _apply_paged_verify(mat: Materializer, step: Step) -> ValueInfo:
-    spec = fuzz_spec(step.op)
-    q, kp, vp, bt, ln, sl, kc, vc = _vals(mat, step)
-    return mat.emit(spec.make(q.var, kp.var, vp.var, bt.var, ln.var,
-                              sl.var, kc.var, vc.var))
-
-
-def _apply_paged_cross(mat: Materializer, step: Step) -> ValueInfo:
-    spec = fuzz_spec(step.op)
-    q, kp, vp, bt, enc = _vals(mat, step)
-    return mat.emit(spec.make(q.var, kp.var, vp.var, bt.var, enc.var))
+    return mat.emit(spec.make(*[v.var for v in _vals(mat, step)]))
 
 
 def _apply_ccl(mat: Materializer, step: Step) -> ValueInfo:
@@ -603,10 +582,10 @@ _APPLIERS = {
     "arange": _apply_arange,
     "argmax": _apply_argmax,
     "attention": _apply_attention,
-    "paged_attention": _apply_paged_attention,
-    "paged_prefill": _apply_paged_prefill,
-    "paged_verify": _apply_paged_verify,
-    "paged_cross_attention": _apply_paged_cross,
+    "paged_attention": _apply_paged,
+    "paged_prefill": _apply_paged,
+    "paged_verify": _apply_paged,
+    "paged_cross_attention": _apply_paged,
     "ccl": _apply_ccl,
     "datadep": _apply_op,
     "shape_of": _apply_op,
@@ -936,32 +915,11 @@ def _gen_attention(rng, mat, plan, spec) -> Optional[Step]:
                 {"causal": rng.random() < 0.7})
 
 
-def _gen_paged_attention(rng, mat, plan, spec) -> Optional[Step]:
-    paged = getattr(mat, "_paged_params", None)
-    if not paged:
+def _gen_paged(rng, mat, plan, spec) -> Optional[Step]:
+    params = getattr(mat, "_paged_params", {}).get(spec.kind)
+    if not params:
         return None
-    return Step("paged_attention", spec.name, list(paged))
-
-
-def _gen_paged_verify(rng, mat, plan, spec) -> Optional[Step]:
-    paged = getattr(mat, "_paged_verify_params", None)
-    if not paged:
-        return None
-    return Step("paged_verify", spec.name, list(paged))
-
-
-def _gen_paged_cross(rng, mat, plan, spec) -> Optional[Step]:
-    paged = getattr(mat, "_paged_cross_params", None)
-    if not paged:
-        return None
-    return Step("paged_cross_attention", spec.name, list(paged))
-
-
-def _gen_paged_prefill(rng, mat, plan, spec) -> Optional[Step]:
-    paged = getattr(mat, "_paged_prefill_params", None)
-    if not paged:
-        return None
-    return Step("paged_prefill", spec.name, list(paged))
+    return Step(spec.kind, spec.name, list(params))
 
 
 def _gen_ccl(rng, mat, plan, spec) -> Optional[Step]:
@@ -1104,10 +1062,10 @@ _GENERATORS = {
     "arange": _gen_arange,
     "argmax": _gen_argmax,
     "attention": _gen_attention,
-    "paged_attention": _gen_paged_attention,
-    "paged_prefill": _gen_paged_prefill,
-    "paged_verify": _gen_paged_verify,
-    "paged_cross_attention": _gen_paged_cross,
+    "paged_attention": _gen_paged,
+    "paged_prefill": _gen_paged,
+    "paged_verify": _gen_paged,
+    "paged_cross_attention": _gen_paged,
     "ccl": _gen_ccl,
     "datadep": _gen_datadep,
     "shape_of": _gen_shape_of,
@@ -1185,8 +1143,7 @@ def generate(seed: int, *, max_steps: Optional[int] = None) -> Plan:
         plan.params.append(ParamSpec("v", [b, m, h_kv, d], "f32"))
         attn_idx = (base, base + 1, base + 2)
 
-    paged_idx = None
-    paged_prefill_idx = None
+    paged_idx = {}  # paged op kind -> its parameter indices, in call order
     if rng.random() < 0.25:
         b = rng.choice([1, 2])
         s = rng.choice([1, 2])
@@ -1218,26 +1175,24 @@ def generate(seed: int, *, max_steps: Optional[int] = None) -> Plan:
         # so plans exercise fully-padded (sl == 0) sequences too.
         plan.params.append(ParamSpec("sl", [b], "i64",
                                      role="index", index_bound=s + 1))
-        paged_idx = tuple(range(base, base + 7))
-        paged_prefill_idx = (base, base + 1, base + 2, base + 3, base + 7,
-                             base + 5, base + 6)
-        # Verify reuses the decode pool params plus the ragged widths.
-        paged_verify_idx = (base, base + 1, base + 2, base + 3, base + 4,
-                            base + 8, base + 5, base + 6)
-        # Cross-attention reuses the pool params; mp's shape anchors the
-        # encoder-context dim t = mpast <= w * page (table covers it).
-        paged_cross_idx = (base, base + 1, base + 2, base + 3, base + 7)
-    else:
-        paged_cross_idx = None
-        paged_verify_idx = None
+        paged_idx = {
+            "paged_attention": tuple(range(base, base + 7)),
+            "paged_prefill": (base, base + 1, base + 2, base + 3, base + 7,
+                              base + 5, base + 6),
+            # Verify reuses the decode pool params plus the ragged widths.
+            "paged_verify": (base, base + 1, base + 2, base + 3, base + 4,
+                             base + 8, base + 5, base + 6),
+            # Cross-attention reuses the pool params; mp's shape anchors
+            # the encoder-context dim t = mpast <= w * page (table covers
+            # it).
+            "paged_cross_attention": (base, base + 1, base + 2, base + 3,
+                                      base + 7),
+        }
 
     mat = Materializer(plan)
     mat._flag_param = flag_idx
     mat._attn_params = attn_idx
     mat._paged_params = paged_idx
-    mat._paged_prefill_params = paged_prefill_idx
-    mat._paged_verify_params = paged_verify_idx
-    mat._paged_cross_params = paged_cross_idx
 
     pool = _weighted_pool()
     target = max_steps if max_steps is not None else rng.randint(4, 12)

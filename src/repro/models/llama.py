@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .. import ops, sym
 from ..core import BlockBuilder, TensorAnn
 from ..core.expr import Expr, ShapeExpr, const
+from ..core.expr import Tuple as TupleExpr
 from ..frontend.nn import (
     Embedding,
     ExportedModule,
@@ -162,6 +163,54 @@ def _make_norm(cfg: LlamaConfig, dim: int):
     return LayerNorm(dim, dtype=cfg.dtype)
 
 
+def attend_dense(bb: BlockBuilder, q: Expr, k: Expr, v: Expr, k_cache: Expr,
+                 v_cache: Expr) -> Tuple[Expr, Expr, Expr]:
+    """Grow the contiguous caches by this step's K/V and attend them
+    causally; returns ``(attention, grown k cache, grown v cache)``."""
+    k_full = bb.emit(ops.concat([k_cache, k], axis=1))
+    v_full = bb.emit(ops.concat([v_cache, v], axis=1))
+    return bb.emit(ops.attention(q, k_full, v_full, causal=True)), k_full, v_full
+
+
+def attend_paged(op: Callable[..., Expr], *table_args: Expr):
+    """Attend a layer's page pool with one ``ops.paged_*`` call.
+
+    ``table_args`` are the op's arguments between the pools and the
+    current K/V (block table, lengths / anchor, ...).  Returns
+    ``(attention, k, v)``: the functional IR cannot write the pool in
+    place, so this step's new K/V slices go back to the serving engine,
+    which writes them into the sequence's pages after the call.
+    """
+
+    def attend(bb, q, k, v, k_pages, v_pages):
+        return bb.emit(op(q, k_pages, v_pages, *table_args, k, v)), k, v
+
+    return attend
+
+
+class KVSite(NamedTuple):
+    """Where an entry point's keys and values live — the one thing in
+    which ``prefill`` / ``decode`` / ``decode_paged`` / ``prefill_paged`` /
+    ``verify_paged`` differ; everything else in the stack is shared."""
+
+    #: Rotary phase, as keyword arguments of ``ops.rope``: ``offset=m``
+    #: when every sequence shares the cached length ``m``, or
+    #: ``offsets=lengths`` when each sequence's rows start at its own
+    #: position (ragged decode / verify batches).
+    rope: dict
+    #: ``attend(bb, q, k, v, k_store, v_store) -> (attention, k_out,
+    #: v_out)`` over one layer's cache pair or page-pool pair
+    #: (:func:`attend_dense` / :func:`attend_paged`).
+    attend: Callable[..., Tuple[Expr, Expr, Expr]]
+    #: Feed every position to the LM head instead of only the last.
+    all_logits: bool = False
+
+
+def dense_site(m) -> KVSite:
+    """Contiguous caches of shared length ``m`` (``prefill`` / ``decode``)."""
+    return KVSite({"offset": m}, attend_dense)
+
+
 class LlamaAttention(Module):
     def __init__(self, cfg: LlamaConfig):
         h, d, kv = cfg.num_heads, cfg.head_dim, cfg.num_kv_heads
@@ -171,101 +220,18 @@ class LlamaAttention(Module):
         self.v_proj = _make_linear(cfg, cfg.hidden_size, kv * d, cfg.attention_bias)
         self.o_proj = _make_linear(cfg, h * d, cfg.hidden_size)
 
-    def forward(self, bb: BlockBuilder, x: Expr, k_cache: Expr, v_cache: Expr,
-                b, s, m) -> Tuple[Expr, Expr, Expr]:
+    def forward(self, bb: BlockBuilder, x: Expr, k_store: Expr, v_store: Expr,
+                b, s, site: KVSite) -> Tuple[Expr, Expr, Expr]:
         cfg = self.cfg
         h, d, kv = cfg.num_heads, cfg.head_dim, cfg.num_kv_heads
         q = bb.emit(ops.reshape(self.q_proj.forward(bb, x), ShapeExpr([b, s, h, d])))
         k = bb.emit(ops.reshape(self.k_proj.forward(bb, x), ShapeExpr([b, s, kv, d])))
         v = bb.emit(ops.reshape(self.v_proj.forward(bb, x), ShapeExpr([b, s, kv, d])))
-        q = bb.emit(ops.rope(q, offset=m, theta=cfg.rope_theta))
-        k = bb.emit(ops.rope(k, offset=m, theta=cfg.rope_theta))
-        k_full = bb.emit(ops.concat([k_cache, k], axis=1))
-        v_full = bb.emit(ops.concat([v_cache, v], axis=1))
-        attn = bb.emit(ops.attention(q, k_full, v_full, causal=True))
+        q = bb.emit(ops.rope(q, theta=cfg.rope_theta, **site.rope))
+        k = bb.emit(ops.rope(k, theta=cfg.rope_theta, **site.rope))
+        attn, k_out, v_out = site.attend(bb, q, k, v, k_store, v_store)
         attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, h * d])))
-        return self.o_proj.forward(bb, attn), k_full, v_full
-
-    def forward_prefill_paged(self, bb: BlockBuilder, x: Expr, k_pages: Expr,
-                              v_pages: Expr, block_table: Expr, past: Expr,
-                              b, s, m) -> Tuple[Expr, Expr, Expr]:
-        """Chunked prefill against the paged KV pool (repro.serve).
-
-        All sequences in the chunk batch share cached length ``m`` (the
-        engine issues one call per sequence chunk); rotary offsets and
-        the attention read path mirror the dense :meth:`forward` exactly,
-        so outputs are bit-identical to dense prefill.  Returns the new
-        K/V chunk slices for the host to write into the pool pages.
-        """
-        cfg = self.cfg
-        h, d, kv = cfg.num_heads, cfg.head_dim, cfg.num_kv_heads
-        q = bb.emit(ops.reshape(self.q_proj.forward(bb, x), ShapeExpr([b, s, h, d])))
-        k = bb.emit(ops.reshape(self.k_proj.forward(bb, x), ShapeExpr([b, s, kv, d])))
-        v = bb.emit(ops.reshape(self.v_proj.forward(bb, x), ShapeExpr([b, s, kv, d])))
-        q = bb.emit(ops.rope(q, offset=m, theta=cfg.rope_theta))
-        k = bb.emit(ops.rope(k, offset=m, theta=cfg.rope_theta))
-        attn = bb.emit(ops.paged_prefill(
-            q, k_pages, v_pages, block_table, past, k, v
-        ))
-        attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, h * d])))
-        return self.o_proj.forward(bb, attn), k, v
-
-    def forward_verify_paged(self, bb: BlockBuilder, x: Expr, k_pages: Expr,
-                             v_pages: Expr, block_table: Expr, lengths: Expr,
-                             spec_lens: Expr, b, s) -> Tuple[Expr, Expr, Expr]:
-        """Speculative verify against the paged KV pool (repro.serve).
-
-        ``s`` query positions per sequence (the last accepted token plus
-        the draft's proposals, ragged per sequence via ``spec_lens``);
-        row ``i`` of sequence ``bi`` sits at absolute position
-        ``lengths[bi] + i``, which is exactly what rotary's per-sequence
-        ``offsets`` mode computes.  Returns the attention output plus
-        the new K/V slices — the engine writes the accepted prefix into
-        the pool and drops the rejected tail (rollback).
-        """
-        cfg = self.cfg
-        h, d, kv = cfg.num_heads, cfg.head_dim, cfg.num_kv_heads
-        q = bb.emit(ops.reshape(self.q_proj.forward(bb, x),
-                                ShapeExpr([b, s, h, d])))
-        k = bb.emit(ops.reshape(self.k_proj.forward(bb, x),
-                                ShapeExpr([b, s, kv, d])))
-        v = bb.emit(ops.reshape(self.v_proj.forward(bb, x),
-                                ShapeExpr([b, s, kv, d])))
-        q = bb.emit(ops.rope(q, theta=cfg.rope_theta, offsets=lengths))
-        k = bb.emit(ops.rope(k, theta=cfg.rope_theta, offsets=lengths))
-        attn = bb.emit(ops.paged_verify(
-            q, k_pages, v_pages, block_table, lengths, spec_lens, k, v
-        ))
-        attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, h * d])))
-        return self.o_proj.forward(bb, attn), k, v
-
-    def forward_paged(self, bb: BlockBuilder, x: Expr, k_pages: Expr,
-                      v_pages: Expr, block_table: Expr, lengths: Expr,
-                      b) -> Tuple[Expr, Expr, Expr]:
-        """Single-token decode against a paged KV pool (repro.serve).
-
-        Returns the attention output plus this step's new K/V slices —
-        the functional IR cannot write the pool in place, so the serving
-        engine appends them to the sequence's pages after the call.
-        """
-        cfg = self.cfg
-        h, d, kv = cfg.num_heads, cfg.head_dim, cfg.num_kv_heads
-        one = sym.IntImm(1)
-        q = bb.emit(ops.reshape(self.q_proj.forward(bb, x),
-                                ShapeExpr([b, one, h, d])))
-        k = bb.emit(ops.reshape(self.k_proj.forward(bb, x),
-                                ShapeExpr([b, one, kv, d])))
-        v = bb.emit(ops.reshape(self.v_proj.forward(bb, x),
-                                ShapeExpr([b, one, kv, d])))
-        # Each sequence's current token sits at its own position: the
-        # per-sequence cache length drives the rotary phase.
-        q = bb.emit(ops.rope(q, theta=cfg.rope_theta, offsets=lengths))
-        k = bb.emit(ops.rope(k, theta=cfg.rope_theta, offsets=lengths))
-        attn = bb.emit(ops.paged_attention(
-            q, k_pages, v_pages, block_table, lengths, k, v
-        ))
-        attn = bb.emit(ops.reshape(attn, ShapeExpr([b, one, h * d])))
-        return self.o_proj.forward(bb, attn), k, v
+        return self.o_proj.forward(bb, attn), k_out, v_out
 
 
 class LlamaMLP(Module):
@@ -296,34 +262,11 @@ class LlamaDecoderLayer(Module):
         self.post_norm = _make_norm(cfg, cfg.hidden_size)
         self.mlp = LlamaMLP(cfg)
 
-    def forward(self, bb, x, k_cache, v_cache, b, s, m):
-        attn_out, k_full, v_full = self.attn.forward(
-            bb, self.input_norm.forward(bb, x), k_cache, v_cache, b, s, m
+    def forward(self, bb, x, k_store, v_store, b, s, site: KVSite):
+        attn_out, k_out, v_out = self.attn.forward(
+            bb, self.input_norm.forward(bb, x), k_store, v_store, b, s, site
         )
-        return self._residual(bb, x, attn_out), k_full, v_full
-
-    def forward_paged(self, bb, x, k_pages, v_pages, block_table, lengths, b):
-        attn_out, k_new, v_new = self.attn.forward_paged(
-            bb, self.input_norm.forward(bb, x), k_pages, v_pages,
-            block_table, lengths, b,
-        )
-        return self._residual(bb, x, attn_out), k_new, v_new
-
-    def forward_prefill_paged(self, bb, x, k_pages, v_pages, block_table,
-                              past, b, s, m):
-        attn_out, k_new, v_new = self.attn.forward_prefill_paged(
-            bb, self.input_norm.forward(bb, x), k_pages, v_pages,
-            block_table, past, b, s, m,
-        )
-        return self._residual(bb, x, attn_out), k_new, v_new
-
-    def forward_verify_paged(self, bb, x, k_pages, v_pages, block_table,
-                             lengths, spec_lens, b, s):
-        attn_out, k_new, v_new = self.attn.forward_verify_paged(
-            bb, self.input_norm.forward(bb, x), k_pages, v_pages,
-            block_table, lengths, spec_lens, b, s,
-        )
-        return self._residual(bb, x, attn_out), k_new, v_new
+        return self._residual(bb, x, attn_out), k_out, v_out
 
     def _residual(self, bb, x, attn_out):
         if self.cfg.parallel_residual:
@@ -346,134 +289,37 @@ class LlamaForCausalLM(Module):
             self.lm_head = _make_linear(cfg, cfg.hidden_size, cfg.vocab_size)
 
     def forward(self, bb: BlockBuilder, tokens: Expr, caches: List[Expr],
-                b, s, m) -> Expr:
+                b, s, site: KVSite) -> Expr:
         cfg = self.cfg
         x = self.embed.forward(bb, tokens)  # (b, s, hidden)
         if cfg.scale_embeddings:
             scale = const(np.asarray(math.sqrt(cfg.hidden_size)), cfg.dtype)
             x = bb.emit(ops.multiply(x, scale))
-        return self.forward_hidden(bb, x, caches, b, s, m)
+        return self.forward_hidden(bb, x, caches, b, s, site)
 
     def forward_hidden(self, bb: BlockBuilder, x: Expr, caches: List[Expr],
-                       b, s, m) -> Expr:
+                       b, s, site: KVSite) -> Expr:
         """Run the decoder stack from hidden states (LLaVA feeds image
-        embeddings here directly)."""
-        cfg = self.cfg
-        new_caches: List[Expr] = []
-        for layer, (k_cache, v_cache) in zip(
-            self.layers, zip(caches[0::2], caches[1::2])
-        ):
-            x, k_full, v_full = layer.forward(bb, x, k_cache, v_cache, b, s, m)
-            new_caches.extend([k_full, v_full])
+        embeddings here directly).
 
-        x = self.final_norm.forward(bb, x)
-        # Only the last position feeds the LM head (per-token decode cost).
-        last_idx = bb.emit(ops.arange(1, start=s - 1, dtype="i64"))
-        last = bb.emit(ops.take(x, last_idx, axis=1))  # (b, 1, hidden)
-        logits = self._logits(bb, last)
-
-        from ..core.expr import Tuple as TupleExpr
-
-        return bb.emit(TupleExpr([logits] + new_caches))
-
-    def forward_paged(self, bb: BlockBuilder, tokens: Expr, block_table: Expr,
-                      lengths: Expr, caches: List[Expr], b) -> Expr:
-        """Single-token decode over the paged KV pool (repro.serve).
-
-        ``caches`` holds the per-layer page pools (k_pages_l, v_pages_l);
-        the result tuple is ``(logits, k_new_0, v_new_0, ...)`` — the new
-        K/V slices the host writes back into each sequence's pages.
+        ``caches`` holds one (k, v) pair per layer — contiguous caches or
+        page pools, whichever ``site`` attends.  The result tuple is
+        ``(logits, k_out_0, v_out_0, ...)``: the grown caches for a dense
+        site, this call's new K/V slices for a paged one.
         """
-        cfg = self.cfg
-        x = self.embed.forward(bb, tokens)  # (b, 1, hidden)
-        if cfg.scale_embeddings:
-            scale = const(np.asarray(math.sqrt(cfg.hidden_size)), cfg.dtype)
-            x = bb.emit(ops.multiply(x, scale))
-        new_slices: List[Expr] = []
-        for layer, (k_pages, v_pages) in zip(
+        outs: List[Expr] = []
+        for layer, (k_store, v_store) in zip(
             self.layers, zip(caches[0::2], caches[1::2])
         ):
-            x, k_new, v_new = layer.forward_paged(
-                bb, x, k_pages, v_pages, block_table, lengths, b
-            )
-            new_slices.extend([k_new, v_new])
+            x, k_out, v_out = layer.forward(bb, x, k_store, v_store, b, s, site)
+            outs.extend([k_out, v_out])
 
         x = self.final_norm.forward(bb, x)
-        logits = self._logits(bb, x)  # s == 1: every position is the last
-
-        from ..core.expr import Tuple as TupleExpr
-
-        return bb.emit(TupleExpr([logits] + new_slices))
-
-    def forward_verify_paged(self, bb: BlockBuilder, tokens: Expr,
-                             block_table: Expr, lengths: Expr,
-                             spec_lens: Expr, caches: List[Expr],
-                             b, s) -> Expr:
-        """Speculative verify over the paged KV pool (repro.serve).
-
-        Unlike decode/prefill, *every* position feeds the LM head: the
-        engine needs the target's logits at each speculative position to
-        judge the draft's proposals, so the result tuple's logits entry
-        is (b, s, vocab).  New K/V slices ride along as usual; the host
-        appends only the accepted prefix per sequence.
-        """
-        cfg = self.cfg
-        x = self.embed.forward(bb, tokens)  # (b, s, hidden)
-        if cfg.scale_embeddings:
-            scale = const(np.asarray(math.sqrt(cfg.hidden_size)), cfg.dtype)
-            x = bb.emit(ops.multiply(x, scale))
-        new_slices: List[Expr] = []
-        for layer, (k_pages, v_pages) in zip(
-            self.layers, zip(caches[0::2], caches[1::2])
-        ):
-            x, k_new, v_new = layer.forward_verify_paged(
-                bb, x, k_pages, v_pages, block_table, lengths, spec_lens,
-                b, s,
-            )
-            new_slices.extend([k_new, v_new])
-
-        x = self.final_norm.forward(bb, x)
-        logits = self._logits(bb, x)  # all s positions are candidates
-
-        from ..core.expr import Tuple as TupleExpr
-
-        return bb.emit(TupleExpr([logits] + new_slices))
-
-    def forward_prefill_paged(self, bb: BlockBuilder, tokens: Expr,
-                              block_table: Expr, past: Expr,
-                              caches: List[Expr], b, s, m) -> Expr:
-        """Chunked prefill writing straight into the paged pool.
-
-        Mirrors :meth:`forward` (same embedding, rotary offsets, causal
-        attention over ``m`` cached + ``s`` current positions, and
-        last-position logits) with the KV reads gathered through the
-        block table instead of a contiguous cache; the result tuple is
-        ``(logits, k_new_0, v_new_0, ...)`` — the chunk's K/V slices the
-        host writes into each sequence's pages.
-        """
-        cfg = self.cfg
-        x = self.embed.forward(bb, tokens)  # (b, s, hidden)
-        if cfg.scale_embeddings:
-            scale = const(np.asarray(math.sqrt(cfg.hidden_size)), cfg.dtype)
-            x = bb.emit(ops.multiply(x, scale))
-        new_slices: List[Expr] = []
-        for layer, (k_pages, v_pages) in zip(
-            self.layers, zip(caches[0::2], caches[1::2])
-        ):
-            x, k_new, v_new = layer.forward_prefill_paged(
-                bb, x, k_pages, v_pages, block_table, past, b, s, m
-            )
-            new_slices.extend([k_new, v_new])
-
-        x = self.final_norm.forward(bb, x)
-        # Only the last position feeds the LM head (per-token decode cost).
-        last_idx = bb.emit(ops.arange(1, start=s - 1, dtype="i64"))
-        last = bb.emit(ops.take(x, last_idx, axis=1))  # (b, 1, hidden)
-        logits = self._logits(bb, last)
-
-        from ..core.expr import Tuple as TupleExpr
-
-        return bb.emit(TupleExpr([logits] + new_slices))
+        if not site.all_logits:
+            # Only the last position feeds the LM head (per-token decode cost).
+            last_idx = bb.emit(ops.arange(1, start=s - 1, dtype="i64"))
+            x = bb.emit(ops.take(x, last_idx, axis=1))  # (b, 1, hidden)
+        return bb.emit(TupleExpr([self._logits(bb, x)] + outs))
 
     def _logits(self, bb: BlockBuilder, last: Expr) -> Expr:
         cfg = self.cfg
@@ -530,12 +376,14 @@ def build_llama(cfg: LlamaConfig,
         b = bb.shape_var("b")
         s = bb.shape_var("s")
         m = bb.shape_var("m")
-        return model.forward(bb, tokens, list(caches), b, s, m)
+        return model.forward(bb, tokens, list(caches), b, s, dense_site(m))
 
     def decode(bb: BlockBuilder, tokens, *caches):
         b = bb.shape_var("b")
         m = bb.shape_var("m")
-        return model.forward(bb, tokens, list(caches), b, sym.IntImm(1), m)
+        return model.forward(
+            bb, tokens, list(caches), b, sym.IntImm(1), dense_site(m)
+        )
 
     spec = {
         "prefill": (
@@ -557,8 +405,16 @@ def build_llama(cfg: LlamaConfig,
         def decode_paged(bb: BlockBuilder, tokens, block_table, lengths,
                          *caches):
             b = bb.shape_var("b")
-            return model.forward_paged(
-                bb, tokens, block_table, lengths, list(caches), b
+            # Each sequence's current token sits at its own position: the
+            # per-sequence cache length drives the rotary phase.  With
+            # s == 1 every position is the last.
+            site = KVSite(
+                {"offsets": lengths},
+                attend_paged(ops.paged_attention, block_table, lengths),
+                all_logits=True,
+            )
+            return model.forward(
+                bb, tokens, list(caches), b, sym.IntImm(1), site
             )
 
         spec["decode_paged"] = (
@@ -576,9 +432,15 @@ def build_llama(cfg: LlamaConfig,
             b = bb.shape_var("b")
             s = bb.shape_var("s")
             m = bb.shape_var("m")
-            return model.forward_prefill_paged(
-                bb, tokens, block_table, past, list(caches), b, s, m
+            # All sequences in the chunk batch share cached length m (the
+            # engine issues one call per sequence chunk), so the rotary
+            # offsets match dense prefill and paged_prefill is bit-exact
+            # against dense attention: outputs equal dense prefill's.
+            site = KVSite(
+                {"offset": m},
+                attend_paged(ops.paged_prefill, block_table, past),
             )
+            return model.forward(bb, tokens, list(caches), b, s, site)
 
         # ``past`` is a rank-1 anchor whose *length* is the shared cached
         # context m of every sequence in the batch — the VM binds m from
@@ -597,10 +459,19 @@ def build_llama(cfg: LlamaConfig,
                          spec_lens, *caches):
             b = bb.shape_var("b")
             s = bb.shape_var("s")
-            return model.forward_verify_paged(
-                bb, tokens, block_table, lengths, spec_lens,
-                list(caches), b, s,
+            # Row i of sequence bi sits at absolute position
+            # lengths[bi] + i — what rotary's per-sequence offsets mode
+            # computes.  Every position feeds the LM head: the engine
+            # judges the draft's proposal at each speculative position,
+            # then writes only the accepted prefix of the new K/V into
+            # the pool and drops the rejected tail (rollback).
+            site = KVSite(
+                {"offsets": lengths},
+                attend_paged(ops.paged_verify, block_table, lengths,
+                             spec_lens),
+                all_logits=True,
             )
+            return model.forward(bb, tokens, list(caches), b, s, site)
 
         # Ragged multi-token decode: tokens is padded to the batch's max
         # speculative width s, spec_lens carries each sequence's valid

@@ -37,6 +37,7 @@ from .llama import (
     LlamaConfig,
     LlamaForCausalLM,
     _cache_annotations,
+    dense_site,
 )
 
 
@@ -160,18 +161,22 @@ def build_llava(cfg: LlavaConfig) -> ExportedModule:
         b = bb.shape_var("b")
         s = bb.shape_var("s")
         m = bb.shape_var("m")
-        return model.llm.forward_hidden(bb, embeds, list(caches), b, s, m)
+        return model.llm.forward_hidden(
+            bb, embeds, list(caches), b, s, dense_site(m)
+        )
 
     def prefill(bb: BlockBuilder, tokens, *caches):
         b = bb.shape_var("b")
         s = bb.shape_var("s")
         m = bb.shape_var("m")
-        return model.llm.forward(bb, tokens, list(caches), b, s, m)
+        return model.llm.forward(bb, tokens, list(caches), b, s, dense_site(m))
 
     def decode(bb: BlockBuilder, tokens, *caches):
         b = bb.shape_var("b")
         m = bb.shape_var("m")
-        return model.llm.forward(bb, tokens, list(caches), b, sym.IntImm(1), m)
+        return model.llm.forward(
+            bb, tokens, list(caches), b, sym.IntImm(1), dense_site(m)
+        )
 
     spec = {
         "encode_image": (

@@ -31,7 +31,7 @@ path in ``tests/models/test_whisper_paged.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .. import ops, sym
 from ..core import BlockBuilder, TensorAnn
@@ -45,6 +45,7 @@ from ..frontend.nn import (
     Module,
     export_module,
 )
+from .llama import attend_dense, attend_paged
 
 
 @dataclass
@@ -83,6 +84,24 @@ TINY_WHISPER = WhisperConfig(
 )
 
 
+class WhisperKVSite(NamedTuple):
+    """Where the decoder's two KV streams live — all that ``decode`` and
+    ``decode_paged`` differ in (cf. :class:`repro.models.llama.KVSite`)."""
+
+    #: Self stream: ``attend_dense`` grows the contiguous caches;
+    #: ``attend_paged`` with ``paged_prefill`` (bit-exact against it)
+    #: gathers from the page pool and returns the new K/V slices.
+    attend: Callable[..., Tuple[Expr, Expr, Expr]]
+    #: Cross stream: ``cross(q, cross_k, cross_v)`` is the attention call
+    #: over the encoder K/V, contiguous or pool-resident.
+    cross: Callable[[Expr, Expr, Expr], Expr]
+
+
+DENSE_SITE = WhisperKVSite(
+    attend_dense, lambda q, k, v: ops.attention(q, k, v, causal=False)
+)
+
+
 class WhisperMLP(Module):
     def __init__(self, cfg: WhisperConfig):
         self.fc1 = Linear(cfg.d_model, cfg.ffn_dim, bias=True, dtype=cfg.dtype)
@@ -116,30 +135,12 @@ class WhisperSelfAttention(Module):
         attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, cfg.d_model])))
         return self.out_proj.forward(bb, attn)
 
-    def forward_decoder(self, bb, x, k_cache, v_cache, b, s):
+    def forward_decoder(self, bb, x, k_store, v_store, b, s, site):
         cfg = self.cfg
         q, k, v = self.project_qkv(bb, x, b, s)
-        k_full = bb.emit(ops.concat([k_cache, k], axis=1))
-        v_full = bb.emit(ops.concat([v_cache, v], axis=1))
-        attn = bb.emit(ops.attention(q, k_full, v_full, causal=True))
+        attn, k_out, v_out = site.attend(bb, q, k, v, k_store, v_store)
         attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, cfg.d_model])))
-        return self.out_proj.forward(bb, attn), k_full, v_full
-
-    def forward_decoder_paged(self, bb, x, k_pages, v_pages, block_table,
-                              past, b, s):
-        """Decoder self-attention against the shared page pool.
-
-        Mirrors :meth:`forward_decoder` with the concat + causal attention
-        replaced by ``paged_prefill`` (bit-exact against the dense path).
-        Returns the new K/V slices for the host to write into the pool.
-        """
-        cfg = self.cfg
-        q, k, v = self.project_qkv(bb, x, b, s)
-        attn = bb.emit(ops.paged_prefill(
-            q, k_pages, v_pages, block_table, past, k, v
-        ))
-        attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, cfg.d_model])))
-        return self.out_proj.forward(bb, attn), k, v
+        return self.out_proj.forward(bb, attn), k_out, v_out
 
 
 class WhisperCrossAttention(Module):
@@ -160,27 +161,11 @@ class WhisperCrossAttention(Module):
                                 ShapeExpr([b, t, h, d])))
         return k, v
 
-    def forward(self, bb, x, cross_k, cross_v, b, s):
+    def forward(self, bb, x, cross_k, cross_v, b, s, site):
         cfg = self.cfg
         h, d = cfg.num_heads, cfg.head_dim
         q = bb.emit(ops.reshape(self.q_proj.forward(bb, x), ShapeExpr([b, s, h, d])))
-        attn = bb.emit(ops.attention(q, cross_k, cross_v, causal=False))
-        attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, cfg.d_model])))
-        return self.out_proj.forward(bb, attn)
-
-    def forward_paged(self, bb, x, k_pages, v_pages, cross_table, enc, b, s):
-        """Cross-attention over pool-resident encoder K/V.
-
-        The encoder K/V was written to pages once by ``cross_project``;
-        every decode step gathers it through the cross block table.
-        Bit-exact against :meth:`forward` over the contiguous cross K/V.
-        """
-        cfg = self.cfg
-        h, d = cfg.num_heads, cfg.head_dim
-        q = bb.emit(ops.reshape(self.q_proj.forward(bb, x), ShapeExpr([b, s, h, d])))
-        attn = bb.emit(ops.paged_cross_attention(
-            q, k_pages, v_pages, cross_table, enc
-        ))
+        attn = bb.emit(site.cross(q, cross_k, cross_v))
         attn = bb.emit(ops.reshape(attn, ShapeExpr([b, s, cfg.d_model])))
         return self.out_proj.forward(bb, attn)
 
@@ -208,36 +193,17 @@ class WhisperDecoderLayer(Module):
         self.norm3 = LayerNorm(cfg.d_model, dtype=cfg.dtype)
         self.mlp = WhisperMLP(cfg)
 
-    def forward(self, bb, x, k_cache, v_cache, cross_k, cross_v, b, s):
-        attn, k_full, v_full = self.self_attn.forward_decoder(
-            bb, self.norm1.forward(bb, x), k_cache, v_cache, b, s
+    def forward(self, bb, x, k_store, v_store, cross_k, cross_v, b, s, site):
+        attn, k_out, v_out = self.self_attn.forward_decoder(
+            bb, self.norm1.forward(bb, x), k_store, v_store, b, s, site
         )
         x = bb.emit(ops.add(x, attn))
         cross = self.cross_attn.forward(
-            bb, self.norm2.forward(bb, x), cross_k, cross_v, b, s
+            bb, self.norm2.forward(bb, x), cross_k, cross_v, b, s, site
         )
         x = bb.emit(ops.add(x, cross))
         mlp = self.mlp.forward(bb, self.norm3.forward(bb, x))
-        return bb.emit(ops.add(x, mlp)), k_full, v_full
-
-    def forward_paged(self, bb, x, k_pages, v_pages, block_table, past,
-                      cross_table, enc, b, s):
-        """Paged decoder layer: self-attn KV and cross-attn KV both live
-        in the *same* per-layer page pool, addressed by separate block
-        tables (the self stream grows; the cross stream was written once
-        by ``cross_project`` and never appends)."""
-        attn, k_new, v_new = self.self_attn.forward_decoder_paged(
-            bb, self.norm1.forward(bb, x), k_pages, v_pages, block_table,
-            past, b, s,
-        )
-        x = bb.emit(ops.add(x, attn))
-        cross = self.cross_attn.forward_paged(
-            bb, self.norm2.forward(bb, x), k_pages, v_pages, cross_table,
-            enc, b, s,
-        )
-        x = bb.emit(ops.add(x, cross))
-        mlp = self.mlp.forward(bb, self.norm3.forward(bb, x))
-        return bb.emit(ops.add(x, mlp)), k_new, v_new
+        return bb.emit(ops.add(x, mlp)), k_out, v_out
 
 
 class WhisperModel(Module):
@@ -285,52 +251,30 @@ class WhisperModel(Module):
 
     # -- decoder -------------------------------------------------------------------
 
-    def decode(self, bb: BlockBuilder, tokens: Expr, self_caches: List[Expr],
-               cross_kv: List[Expr], b, s, m) -> Expr:
-        cfg = self.cfg
-        x = self.token_embed.forward(bb, tokens)
-        pos_ids = bb.emit(ops.arange(s, start=m, dtype="i64"))
-        pos = self.dec_pos.forward(bb, pos_ids)
-        x = bb.emit(ops.add(x, pos))
-        new_caches: List[Expr] = []
-        for i, layer in enumerate(self.decoder):
-            x, k_full, v_full = layer.forward(
-                bb, x, self_caches[2 * i], self_caches[2 * i + 1],
-                cross_kv[2 * i], cross_kv[2 * i + 1], b, s,
-            )
-            new_caches.extend([k_full, v_full])
-        x = self.dec_norm.forward(bb, x)
-        last_idx = bb.emit(ops.arange(1, start=s - 1, dtype="i64"))
-        last = bb.emit(ops.take(x, last_idx, axis=1))
-        logits = bb.emit(
-            ops.matmul(last, self.token_embed.weight.var, transpose_b=True)
-        )
-        if cfg.dtype != "f32":
-            logits = bb.emit(ops.astype(logits, "f32"))
-        return bb.emit(TupleExpr([logits] + new_caches))
+    def decode(self, bb: BlockBuilder, tokens: Expr, self_kv: List[Expr],
+               cross_kv: List[Expr], b, s, m, site: WhisperKVSite) -> Expr:
+        """Decoder stack over one (k, v) pair per layer for each stream.
 
-    def decode_paged(self, bb: BlockBuilder, tokens: Expr, block_table: Expr,
-                     past: Expr, cross_table: Expr, enc: Expr,
-                     pages: List[Expr], b, s, m) -> Expr:
-        """Decode against the shared page pool.
-
-        ``past`` and ``enc`` are rank-1 anchors binding the cached self-
-        context ``m`` and the encoder context ``t``; ``block_table`` /
-        ``cross_table`` address the self and cross streams of the same
-        per-layer pools.  Mirrors :meth:`decode` op for op (bit-exact).
+        Dense: ``self_kv`` are the growing caches, ``cross_kv`` the
+        contiguous encoder K/V, and the result carries the grown caches.
+        Paged: both are the *same* per-layer page pools, addressed by
+        separate block tables inside ``site`` (the self stream grows; the
+        cross stream was written once by ``cross_project`` and never
+        appends), and the result carries the new self K/V slices.  Same
+        ops either way, so paged is bit-exact.
         """
         cfg = self.cfg
         x = self.token_embed.forward(bb, tokens)
         pos_ids = bb.emit(ops.arange(s, start=m, dtype="i64"))
         pos = self.dec_pos.forward(bb, pos_ids)
         x = bb.emit(ops.add(x, pos))
-        new_slices: List[Expr] = []
+        outs: List[Expr] = []
         for i, layer in enumerate(self.decoder):
-            x, k_new, v_new = layer.forward_paged(
-                bb, x, pages[2 * i], pages[2 * i + 1], block_table, past,
-                cross_table, enc, b, s,
+            x, k_out, v_out = layer.forward(
+                bb, x, self_kv[2 * i], self_kv[2 * i + 1],
+                cross_kv[2 * i], cross_kv[2 * i + 1], b, s, site,
             )
-            new_slices.extend([k_new, v_new])
+            outs.extend([k_out, v_out])
         x = self.dec_norm.forward(bb, x)
         last_idx = bb.emit(ops.arange(1, start=s - 1, dtype="i64"))
         last = bb.emit(ops.take(x, last_idx, axis=1))
@@ -339,7 +283,7 @@ class WhisperModel(Module):
         )
         if cfg.dtype != "f32":
             logits = bb.emit(ops.astype(logits, "f32"))
-        return bb.emit(TupleExpr([logits] + new_slices))
+        return bb.emit(TupleExpr([logits] + outs))
 
 
 def build_whisper(cfg: WhisperConfig,
@@ -358,7 +302,9 @@ def build_whisper(cfg: WhisperConfig,
         n_dec = cfg.decoder_layers
         self_caches = list(rest[: 2 * n_dec])
         cross_kv = list(rest[2 * n_dec:])
-        return model.decode(bb, tokens, self_caches, cross_kv, b, sym.IntImm(1), m)
+        return model.decode(
+            bb, tokens, self_caches, cross_kv, b, sym.IntImm(1), m, DENSE_SITE
+        )
 
     decode_inputs = {"tokens": TensorAnn(("b", 1), "i64")}
     for i in range(cfg.decoder_layers):
@@ -388,9 +334,17 @@ def build_whisper(cfg: WhisperConfig,
                          cross_table, enc, *pages):
             b = bb.shape_var("b")
             m = bb.shape_var("m")
-            return model.decode_paged(
-                bb, tokens, block_table, past, cross_table, enc,
-                list(pages), b, sym.IntImm(1), m,
+            # block_table / cross_table address the self and cross
+            # streams of the same per-layer pools.
+            site = WhisperKVSite(
+                attend_paged(ops.paged_prefill, block_table, past),
+                lambda q, k_pages, v_pages: ops.paged_cross_attention(
+                    q, k_pages, v_pages, cross_table, enc
+                ),
+            )
+            return model.decode(
+                bb, tokens, list(pages), list(pages), b, sym.IntImm(1), m,
+                site,
             )
 
         paged_inputs = {

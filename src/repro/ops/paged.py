@@ -1,462 +1,87 @@
-"""Paged attention: decode over a block-table-indexed KV pool.
+"""Paged attention: the attention family over a block-table-indexed KV pool.
 
 The serving engine (``repro.serve``) keeps KV caches in fixed-size pages
-shared by all sequences; a decode batch carries a per-sequence *block
-table* mapping logical cache positions to pages.  The ``paged_attention``
-operator makes that layout a first-class IR citizen: legalization emits a
-multi-stage tensor program whose key/value reads are data-dependent
+shared by all sequences; a batch carries a per-sequence *block table*
+mapping logical cache positions to pages.  The four operators here make
+that layout a first-class IR citizen: legalization emits a multi-stage
+tensor program whose pooled key/value reads are data-dependent
 ``GatherRead``s through the block table (the same Opaque-gather machinery
 as ``take``), and library dispatch can instead lower the call to the
-FlashAttention-style paged kernel in the registry on CUDA/ROCm.
+FlashAttention-style paged kernels in the registry on CUDA/ROCm.
 
-Layout (``B`` = static page size, ``p``/``w``/``b`` symbolic):
+Shared layout (``B`` = static page size, ``p``/``w``/``b`` symbolic):
 
-* ``q``            — (b, s, h, d) queries (decode: s == 1);
+* ``q``            — (b, s, h, d) queries;
 * ``k_pages``      — (p, B, h_kv, d) pooled keys, all sequences mixed;
 * ``v_pages``      — (p, B, h_kv, d) pooled values;
 * ``block_table``  — (b, w) int64, logical block ``j`` of sequence ``i``
   lives in page ``block_table[i, j]``;
-* ``lengths``      — (b,) int64, valid *past* positions per sequence;
 * ``k_cur``/``v_cur`` — (b, s, h_kv, d) keys/values of the current query
   positions (functional IR cannot write the pool in place, so the freshly
   projected K/V ride along and the host appends them after the call).
 
-Query ``i`` of sequence ``bi`` attends every paged position
-``j < lengths[bi]`` plus current positions ``t <= i`` (causal inside the
-query block).  Because select evaluates both branches over the full grid
-(``np.where`` semantics), *padding entries of the block table must hold a
-valid page index* — 0 works — even though the mask discards them.
+Because select evaluates both branches over the full grid (``np.where``
+semantics), *padding entries of the block table must hold a valid page
+index* — 0 works — even though the mask discards them.
+
+There are two stage skeletons, and each op is one instance of one of them:
+
+* **One group, four stages** (:func:`repro.ops.attention.softmax_stages`,
+  shared with dense ``attention``).  ``paged_prefill`` reads column ``j``
+  from the pool for ``j < m`` and from the current chunk otherwise, causal
+  at offset ``m``; ``paged_cross_attention`` reads every column from the
+  pool and masks nothing.  Same reductions over the same columns as the
+  dense op, hence *bit-exact* against it.
+* **Two groups, eleven stages** (:func:`_two_group_stages`): an online
+  softmax over the ``w * B`` pooled positions (valid iff ``j <
+  lengths[bi]``) and the ``s`` current positions, which differ per op only
+  in the current-block mask.  ``paged_attention`` is causal;
+  ``paged_verify`` is causal within each sequence's ragged width.  Summing
+  the two halves separately regroups the floats, so these match dense
+  attention to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 from .. import sym, tir
-from ..core.annotations import TensorAnn
 from ..core.expr import Call, Expr
-from .registry import (
-    Legalized,
-    register_fuzz,
-    register_op,
-    require_known_shape,
-    tensor_ann_of,
+from .attention import (
+    Kernel,
+    close_kernel,
+    deduce_like_q,
+    open_kernel,
+    softmax_stages,
 )
-
-_ARG_NAMES = ("q", "k_pages", "v_pages", "block_table", "lengths",
-              "k_cur", "v_cur")
+from .registry import Legalized, register_fuzz, register_op
 
 
-def _deduce(call: Call):
-    q = tensor_ann_of(call.args[0], "paged_attention", 0)
-    lengths = tensor_ann_of(call.args[4], "paged_attention", 4)
-    if lengths.dtype not in ("i64", "i32"):
-        raise TypeError("paged_attention: lengths must be an integer tensor")
-    table = tensor_ann_of(call.args[3], "paged_attention", 3)
-    if table.dtype not in ("i64", "i32"):
-        raise TypeError("paged_attention: block_table must be an integer tensor")
-    if q.shape is None:
-        return TensorAnn(dtype=q.dtype, ndim=4)
-    return TensorAnn(q.shape, q.dtype)
-
-
-def _legalize(call: Call) -> Legalized:
-    anns = [tensor_ann_of(a, "paged_attention", i)
-            for i, a in enumerate(call.args)]
-    q_ann, kp_ann, vp_ann, bt_ann, len_ann, kc_ann, vc_ann = anns
-    q_shape = require_known_shape(q_ann, "paged_attention")
-    kp_shape = require_known_shape(kp_ann, "paged_attention")
-    bt_shape = require_known_shape(bt_ann, "paged_attention")
-    kc_shape = require_known_shape(kc_ann, "paged_attention")
-
-    b, s, h, d = q_shape
-    page = kp_shape[1]
-    h_kv = kp_shape[2]
-    w = bt_shape[1]
-    if not (sym.is_static(h) and sym.is_static(h_kv) and sym.is_static(d)
-            and sym.is_static(page)):
-        raise ValueError(
-            "paged_attention: head counts, head_dim and the page size must "
-            "be static"
-        )
-    page_i = sym.as_static_int(sym.simplify(page))
-    group = sym.as_static_int(sym.simplify(h)) // sym.as_static_int(
-        sym.simplify(h_kv)
-    )
-    scale = 1.0 / (sym.as_static_int(sym.simplify(d)) ** 0.5)
-    wb = sym.simplify(w * page_i)  # paged key positions per sequence
-
-    f = tir.TirBuilder("paged_attention")
-    f.attr("op_kind", "attention")
-    qb = f.arg("Q", q_shape, q_ann.dtype)
-    kpb = f.arg("KP", kp_shape, kp_ann.dtype)
-    vpb = f.arg("VP", vp_ann.shape, vp_ann.dtype)
-    btb = f.arg("BT", bt_shape, bt_ann.dtype)
-    lnb = f.arg("LN", len_ann.shape, len_ann.dtype)
-    kcb = f.arg("KC", kc_shape, kc_ann.dtype)
-    vcb = f.arg("VC", vc_ann.shape, vc_ann.dtype)
-    ob = f.out("O", q_shape, q_ann.dtype)
-
-    acc = "f32"
-    s_page = f.alloc("SP", (b, h, s, wb), acc)   # paged scores
-    s_cur = f.alloc("SC", (b, h, s, s), acc)     # current-block scores
-    m_page = f.alloc("MP", (b, h, s), acc)
-    m_cur = f.alloc("MC", (b, h, s), acc)
-    m_all = f.alloc("M", (b, h, s), acc)
-    e_page = f.alloc("EP", (b, h, s), acc)
-    e_cur = f.alloc("EC", (b, h, s), acc)
-    e_all = f.alloc("E", (b, h, s), acc)
-    acc_page = f.alloc("AP", (b, s, h, d), acc)
-    acc_cur = f.alloc("AC", (b, s, h, d), acc)
+def _page_gather(kern: Kernel):
+    """``gather(pool, bi, ji, kv_head, di)`` through the block table."""
+    btb, page = kern.bufs[3], kern.page
 
     def gather(data, bi, ji, kv_head, di):
         # data[block_table[bi, ji // B], ji % B, kv_head, di]
         return tir.GatherRead(
-            data, btb, (), (bi, ji // page_i),
-            (ji % page_i, kv_head, di),
+            data, btb, (), (bi, ji // page),
+            (ji % page, kv_head, di),
         )
 
-    def masked_page(expr, bi, ji):
-        # Paged position ji is valid iff ji < lengths[bi]; both branches
-        # evaluate, so padding pages are read then discarded.
-        valid = tir.Cmp("lt", tir.IndexValue(ji), lnb[bi])
-        return tir.select(valid, expr, -1e9)
-
-    def masked_cur(expr, si, ti):
-        # Causal inside the current query block.
-        allowed = tir.Cmp("le", tir.IndexValue(ti), tir.IndexValue(si))
-        return tir.select(allowed, expr, -1e9)
-
-    # Stage 1: scaled scores against the paged keys (gather via the table).
-    bi, hi, si, ji = f.spatial(b, h, s, wb)
-    di = f.reduce(d)
-    prod = tir.cast(acc, qb[bi, si, hi, di]) * tir.cast(
-        acc, gather(kpb, bi, ji, hi // group, di)
-    )
-    f.store(s_page, [bi, hi, si, ji], prod * scale, combiner="sum", init=0.0)
-
-    # Stage 2: scaled scores against the current-block keys.
-    bi, hi, si, ti = f.spatial(b, h, s, s)
-    di = f.reduce(d)
-    prod = tir.cast(acc, qb[bi, si, hi, di]) * tir.cast(
-        acc, kcb[bi, ti, hi // group, di]
-    )
-    f.store(s_cur, [bi, hi, si, ti], prod * scale, combiner="sum", init=0.0)
-
-    # Stages 3-5: running max over both score groups.
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(wb)
-    f.store(m_page, [bi, hi, si],
-            masked_page(s_page[bi, hi, si, ji], bi, ji), combiner="max")
-
-    bi, hi, si = f.spatial(b, h, s)
-    ti = f.reduce(s)
-    f.store(m_cur, [bi, hi, si],
-            masked_cur(s_cur[bi, hi, si, ti], si, ti), combiner="max")
-
-    bi, hi, si = f.spatial(b, h, s)
-    f.store(m_all, [bi, hi, si],
-            tir.vmax(m_page[bi, hi, si], m_cur[bi, hi, si]))
-
-    # Stages 6-8: exp-sums (masked positions contribute exp(-1e9 - M) ~ 0).
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(wb)
-    f.store(
-        e_page, [bi, hi, si],
-        tir.exp(masked_page(s_page[bi, hi, si, ji], bi, ji)
-                - m_all[bi, hi, si]),
-        combiner="sum", init=0.0,
-    )
-
-    bi, hi, si = f.spatial(b, h, s)
-    ti = f.reduce(s)
-    f.store(
-        e_cur, [bi, hi, si],
-        tir.exp(masked_cur(s_cur[bi, hi, si, ti], si, ti)
-                - m_all[bi, hi, si]),
-        combiner="sum", init=0.0,
-    )
-
-    bi, hi, si = f.spatial(b, h, s)
-    f.store(e_all, [bi, hi, si], e_page[bi, hi, si] + e_cur[bi, hi, si])
-
-    # Stage 9: probability-weighted paged values (gather again).
-    bi, si, hi, di = f.spatial(b, s, h, d)
-    ji = f.reduce(wb)
-    prob = tir.exp(
-        masked_page(s_page[bi, hi, si, ji], bi, ji) - m_all[bi, hi, si]
-    ) / e_all[bi, hi, si]
-    f.store(acc_page, [bi, si, hi, di],
-            prob * tir.cast(acc, gather(vpb, bi, ji, hi // group, di)),
-            combiner="sum", init=0.0)
-
-    # Stage 10: probability-weighted current-block values.
-    bi, si, hi, di = f.spatial(b, s, h, d)
-    ti = f.reduce(s)
-    prob = tir.exp(
-        masked_cur(s_cur[bi, hi, si, ti], si, ti) - m_all[bi, hi, si]
-    ) / e_all[bi, hi, si]
-    f.store(acc_cur, [bi, si, hi, di],
-            prob * tir.cast(acc, vcb[bi, ti, hi // group, di]),
-            combiner="sum", init=0.0)
-
-    # Stage 11: combine the two softmax halves and cast out.
-    bi, si, hi, di = f.spatial(b, s, h, d)
-    f.store(
-        ob, [bi, si, hi, di],
-        tir.cast(q_ann.dtype,
-                 acc_page[bi, si, hi, di] + acc_cur[bi, si, hi, di]),
-    )
-
-    return Legalized(
-        f.build(), list(call.args), TensorAnn(q_shape, q_ann.dtype)
-    )
+    return gather
 
 
-paged_attention_op = register_op("paged_attention", _deduce, _legalize)
+def _two_group_stages(kern: Kernel, masked_cur) -> Legalized:
+    """The eleven-stage online softmax over pooled + current positions.
 
-
-def paged_attention(q: Expr, k_pages: Expr, v_pages: Expr, block_table: Expr,
-                    lengths: Expr, k_cur: Expr, v_cur: Expr) -> Call:
-    """Attention over a paged KV pool plus the current query block."""
-    return Call(
-        paged_attention_op,
-        [q, k_pages, v_pages, block_table, lengths, k_cur, v_cur],
-    )
-
-
-register_fuzz("paged_attention", "paged_attention", paged_attention,
-              weight=1.5)
-
-
-# ---------------------------------------------------------------------------
-# paged_prefill: chunked prefill over the page pool, bit-exact vs. dense.
-# ---------------------------------------------------------------------------
-
-_PREFILL_ARG_NAMES = ("q", "k_pages", "v_pages", "block_table", "past",
-                      "k_cur", "v_cur")
-
-
-def _prefill_deduce(call: Call):
-    q = tensor_ann_of(call.args[0], "paged_prefill", 0)
-    table = tensor_ann_of(call.args[3], "paged_prefill", 3)
-    if table.dtype not in ("i64", "i32"):
-        raise TypeError("paged_prefill: block_table must be an integer tensor")
-    past = tensor_ann_of(call.args[4], "paged_prefill", 4)
-    if past.dtype not in ("i64", "i32"):
-        raise TypeError("paged_prefill: past must be an integer tensor")
-    if past.shape is not None and len(past.shape) != 1:
-        raise TypeError("paged_prefill: past must be rank 1 (its length "
-                        "anchors the cached-context dim)")
-    if q.shape is None:
-        return TensorAnn(dtype=q.dtype, ndim=4)
-    return TensorAnn(q.shape, q.dtype)
-
-
-def _prefill_legalize(call: Call) -> Legalized:
-    anns = [tensor_ann_of(a, "paged_prefill", i)
-            for i, a in enumerate(call.args)]
-    q_ann, kp_ann, vp_ann, bt_ann, past_ann, kc_ann, vc_ann = anns
-    q_shape = require_known_shape(q_ann, "paged_prefill")
-    kp_shape = require_known_shape(kp_ann, "paged_prefill")
-    bt_shape = require_known_shape(bt_ann, "paged_prefill")
-    past_shape = require_known_shape(past_ann, "paged_prefill")
-    kc_shape = require_known_shape(kc_ann, "paged_prefill")
-
-    b, s, h, d = q_shape
-    page = kp_shape[1]
-    h_kv = kp_shape[2]
-    m = past_shape[0]  # cached context length (anchor argument's extent)
-    if not (sym.is_static(h) and sym.is_static(h_kv) and sym.is_static(d)
-            and sym.is_static(page)):
-        raise ValueError(
-            "paged_prefill: head counts, head_dim and the page size must "
-            "be static"
-        )
-    page_i = sym.as_static_int(sym.simplify(page))
-    group = sym.as_static_int(sym.simplify(h)) // sym.as_static_int(
-        sym.simplify(h_kv)
-    )
-    scale = 1.0 / (sym.as_static_int(sym.simplify(d)) ** 0.5)
-    # Total key positions: m cached + s current.  The block table must
-    # cover all of them (w * page >= m + s): column j < m gathers page
-    # j // page of the sequence, and the gather evaluates over the whole
-    # grid (np.where semantics), so even current-column reads index it.
-    mk = sym.simplify(m + s)
-
-    # The tensor program mirrors the dense ``attention`` legalization
-    # stage for stage — same four reductions over the same m + s key
-    # columns — so the interpreter's pairwise summations group floats
-    # identically and the outputs are bit-exact against the dense
-    # prefill reference (unlike paged_attention's two-group online
-    # softmax, which only matches to rounding).
-    f = tir.TirBuilder("paged_prefill")
-    f.attr("op_kind", "attention")
-    qb = f.arg("Q", q_shape, q_ann.dtype)
-    kpb = f.arg("KP", kp_shape, kp_ann.dtype)
-    vpb = f.arg("VP", vp_ann.shape, vp_ann.dtype)
-    btb = f.arg("BT", bt_shape, bt_ann.dtype)
-    f.arg("PAST", past_shape, past_ann.dtype)  # anchor only: binds m
-    kcb = f.arg("KC", kc_shape, kc_ann.dtype)
-    vcb = f.arg("VC", vc_ann.shape, vc_ann.dtype)
-    ob = f.out("O", q_shape, q_ann.dtype)
-
-    acc = q_ann.dtype if q_ann.dtype == "f32" else "f32"
-    scores = f.alloc("S", (b, h, s, mk), acc)
-    row_max = f.alloc("M", (b, h, s), acc)
-    row_sum = f.alloc("E", (b, h, s), acc)
-
-    def kv_read(pool, cur, bi, ji, kv_head, di):
-        # Key/value column ji: cached columns (ji < m) gather their page
-        # through the block table; current columns read this chunk's
-        # freshly projected K/V.  Both branches evaluate, so the current
-        # read clamps ji - m at zero to stay in bounds.
-        paged = tir.GatherRead(
-            pool, btb, (), (bi, ji // page_i),
-            (ji % page_i, kv_head, di),
-        )
-        local = cur[bi, sym.Max(ji - m, sym.IntImm(0)), kv_head, di]
-        is_past = tir.Cmp("lt", tir.IndexValue(ji), tir.IndexValue(m))
-        return tir.select(is_past, paged, local)
-
-    def masked(expr, i, j):
-        # Query i sits at absolute position m + i; causal over cached
-        # plus current keys is j <= i + m — the same predicate the dense
-        # kernel uses with key length m + s (j <= i + (mk - s)).
-        allowed = tir.Cmp("le", tir.IndexValue(j), tir.IndexValue(i + m))
-        return tir.select(allowed, expr, -1e9)
-
-    # Stage 1: scaled (masked) scores.
-    bi, hi, si, ji = f.spatial(b, h, s, mk)
-    di = f.reduce(d)
-    prod = tir.cast(acc, qb[bi, si, hi, di]) * tir.cast(
-        acc, kv_read(kpb, kcb, bi, ji, hi // group, di)
-    )
-    f.store(scores, [bi, hi, si, ji], prod * scale, combiner="sum", init=0.0)
-
-    # Stage 2: row max of masked scores.
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(mk)
-    f.store(row_max, [bi, hi, si], masked(scores[bi, hi, si, ji], si, ji),
-            combiner="max")
-
-    # Stage 3: exp-sum.
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(mk)
-    f.store(
-        row_sum,
-        [bi, hi, si],
-        tir.exp(masked(scores[bi, hi, si, ji], si, ji) - row_max[bi, hi, si]),
-        combiner="sum",
-        init=0.0,
-    )
-
-    # Stage 4: probability-weighted values.
-    bi, si, hi, di = f.spatial(b, s, h, d)
-    ji = f.reduce(mk)
-    prob = tir.exp(
-        masked(scores[bi, hi, si, ji], si, ji) - row_max[bi, hi, si]
-    ) / row_sum[bi, hi, si]
-    weighted = prob * tir.cast(
-        acc, kv_read(vpb, vcb, bi, ji, hi // group, di)
-    )
-    f.store(ob, [bi, si, hi, di], tir.cast(q_ann.dtype, weighted),
-            combiner="sum", init=0.0)
-
-    return Legalized(
-        f.build(), list(call.args), TensorAnn(q_shape, q_ann.dtype)
-    )
-
-
-paged_prefill_op = register_op("paged_prefill", _prefill_deduce,
-                               _prefill_legalize)
-
-
-def paged_prefill(q: Expr, k_pages: Expr, v_pages: Expr, block_table: Expr,
-                  past: Expr, k_cur: Expr, v_cur: Expr) -> Call:
-    """Chunked prefill attention over a paged KV pool.
-
-    The query chunk (``s`` positions starting at offset ``m``) attends
-    every cached position of its sequence — gathered from the page pool
-    via the block table — plus itself, causally.  ``past`` is a rank-1
-    integer *anchor*: only its length matters, binding the symbolic
-    cached-context dim ``m`` at the function boundary.  The block table
-    must cover ``m + s`` positions (the pages this chunk's K/V will be
-    written into are already allocated).  Output is bit-exact against
-    the dense ``attention`` op over the concatenated cache.
+    ``kern.bufs`` is ``Q, KP, VP, BT, LN, ..., KC, VC``;
+    ``masked_cur(score, bi, si, ti)`` is the score query ``si`` of
+    sequence ``bi`` sees at current position ``ti``.
     """
-    return Call(
-        paged_prefill_op,
-        [q, k_pages, v_pages, block_table, past, k_cur, v_cur],
-    )
-
-
-register_fuzz("paged_prefill", "paged_prefill", paged_prefill, weight=1.0)
-
-
-# ---------------------------------------------------------------------------
-# paged_verify: ragged multi-token decode for speculative verification.
-# ---------------------------------------------------------------------------
-
-_VERIFY_ARG_NAMES = ("q", "k_pages", "v_pages", "block_table", "lengths",
-                     "spec_lens", "k_cur", "v_cur")
-
-
-def _verify_deduce(call: Call):
-    q = tensor_ann_of(call.args[0], "paged_verify", 0)
-    table = tensor_ann_of(call.args[3], "paged_verify", 3)
-    if table.dtype not in ("i64", "i32"):
-        raise TypeError("paged_verify: block_table must be an integer tensor")
-    lengths = tensor_ann_of(call.args[4], "paged_verify", 4)
-    if lengths.dtype not in ("i64", "i32"):
-        raise TypeError("paged_verify: lengths must be an integer tensor")
-    spec = tensor_ann_of(call.args[5], "paged_verify", 5)
-    if spec.dtype not in ("i64", "i32"):
-        raise TypeError("paged_verify: spec_lens must be an integer tensor")
-    if q.shape is None:
-        return TensorAnn(dtype=q.dtype, ndim=4)
-    return TensorAnn(q.shape, q.dtype)
-
-
-def _verify_legalize(call: Call) -> Legalized:
-    anns = [tensor_ann_of(a, "paged_verify", i)
-            for i, a in enumerate(call.args)]
-    (q_ann, kp_ann, vp_ann, bt_ann, len_ann, spec_ann, kc_ann,
-     vc_ann) = anns
-    q_shape = require_known_shape(q_ann, "paged_verify")
-    kp_shape = require_known_shape(kp_ann, "paged_verify")
-    bt_shape = require_known_shape(bt_ann, "paged_verify")
-    kc_shape = require_known_shape(kc_ann, "paged_verify")
-
-    b, s, h, d = q_shape
-    page = kp_shape[1]
-    h_kv = kp_shape[2]
-    w = bt_shape[1]
-    if not (sym.is_static(h) and sym.is_static(h_kv) and sym.is_static(d)
-            and sym.is_static(page)):
-        raise ValueError(
-            "paged_verify: head counts, head_dim and the page size must "
-            "be static"
-        )
-    page_i = sym.as_static_int(sym.simplify(page))
-    group = sym.as_static_int(sym.simplify(h)) // sym.as_static_int(
-        sym.simplify(h_kv)
-    )
-    scale = 1.0 / (sym.as_static_int(sym.simplify(d)) ** 0.5)
-    wb = sym.simplify(w * page_i)  # paged key positions per sequence
-
-    # Same two-group online softmax as ``paged_attention`` — the only
-    # difference is the current-block mask, which must handle rows padded
-    # past a sequence's ragged speculative width s_i <= s.
-    f = tir.TirBuilder("paged_verify")
-    f.attr("op_kind", "attention")
-    qb = f.arg("Q", q_shape, q_ann.dtype)
-    kpb = f.arg("KP", kp_shape, kp_ann.dtype)
-    vpb = f.arg("VP", vp_ann.shape, vp_ann.dtype)
-    btb = f.arg("BT", bt_shape, bt_ann.dtype)
-    lnb = f.arg("LN", len_ann.shape, len_ann.dtype)
-    slb = f.arg("SL", spec_ann.shape, spec_ann.dtype)
-    kcb = f.arg("KC", kc_shape, kc_ann.dtype)
-    vcb = f.arg("VC", vc_ann.shape, vc_ann.dtype)
-    ob = f.out("O", q_shape, q_ann.dtype)
+    f, ob, group, scale = kern.f, kern.out, kern.group, kern.scale
+    qb, kpb, vpb, btb, lnb = kern.bufs[:5]
+    kcb, vcb = kern.bufs[-2:]
+    b, s, h, d = qb.shape
+    wb = sym.simplify(btb.shape[1] * kern.page)  # paged positions per sequence
+    gather = _page_gather(kern)
 
     acc = "f32"
     s_page = f.alloc("SP", (b, h, s, wb), acc)   # paged scores
@@ -470,31 +95,11 @@ def _verify_legalize(call: Call) -> Legalized:
     acc_page = f.alloc("AP", (b, s, h, d), acc)
     acc_cur = f.alloc("AC", (b, s, h, d), acc)
 
-    def gather(data, bi, ji, kv_head, di):
-        # data[block_table[bi, ji // B], ji % B, kv_head, di]
-        return tir.GatherRead(
-            data, btb, (), (bi, ji // page_i),
-            (ji % page_i, kv_head, di),
-        )
-
     def masked_page(expr, bi, ji):
         # Paged position ji is valid iff ji < lengths[bi]; both branches
         # evaluate, so padding pages are read then discarded.
         valid = tir.Cmp("lt", tir.IndexValue(ji), lnb[bi])
         return tir.select(valid, expr, -1e9)
-
-    def masked_cur(expr, bi, si, ti):
-        # Current key ti is attendable from query si iff ti <= si AND
-        # (ti < spec_lens[bi] OR ti == si): causal over the valid ragged
-        # width, with the self term kept unconditionally so padded rows
-        # (si >= spec_lens[bi]) still have a non-empty softmax and never
-        # read K columns beyond their own.  For valid rows the self term
-        # is already inside the width, so the escape is a no-op there.
-        causal = tir.Cmp("le", tir.IndexValue(ti), tir.IndexValue(si))
-        in_spec = tir.Cmp("lt", tir.IndexValue(ti), slb[bi])
-        is_self = tir.Cmp("eq", tir.IndexValue(ti), tir.IndexValue(si))
-        inner = tir.select(in_spec, expr, tir.select(is_self, expr, -1e9))
-        return tir.select(causal, inner, -1e9)
 
     # Stage 1: scaled scores against the paged keys (gather via the table).
     bi, hi, si, ji = f.spatial(b, h, s, wb)
@@ -573,17 +178,165 @@ def _verify_legalize(call: Call) -> Legalized:
     bi, si, hi, di = f.spatial(b, s, h, d)
     f.store(
         ob, [bi, si, hi, di],
-        tir.cast(q_ann.dtype,
+        tir.cast(qb.dtype,
                  acc_page[bi, si, hi, di] + acc_cur[bi, si, hi, di]),
     )
 
-    return Legalized(
-        f.build(), list(call.args), TensorAnn(q_shape, q_ann.dtype)
+    return close_kernel(kern)
+
+
+def _legalize(call: Call) -> Legalized:
+    kern = open_kernel(
+        "paged_attention", call,
+        ("Q", "KP", "VP", "BT", "LN", "KC", "VC"), known=(0, 1, 3, 5),
+        paged=True,
+    )
+
+    def masked_cur(expr, bi, si, ti):
+        # Causal inside the current query block.
+        allowed = tir.Cmp("le", tir.IndexValue(ti), tir.IndexValue(si))
+        return tir.select(allowed, expr, -1e9)
+
+    return _two_group_stages(kern, masked_cur)
+
+
+paged_attention_op = register_op(
+    "paged_attention",
+    deduce_like_q("paged_attention",
+                  [(4, "lengths", None), (3, "block_table", None)]),
+    _legalize,
+)
+
+
+def paged_attention(q: Expr, k_pages: Expr, v_pages: Expr, block_table: Expr,
+                    lengths: Expr, k_cur: Expr, v_cur: Expr) -> Call:
+    """Attention over a paged KV pool plus the current query block.
+
+    ``lengths`` is (b,) int64, the valid *past* positions per sequence.
+    Query ``i`` of sequence ``bi`` attends every paged position
+    ``j < lengths[bi]`` plus current positions ``t <= i`` (causal inside
+    the query block; decode has s == 1).
+    """
+    return Call(
+        paged_attention_op,
+        [q, k_pages, v_pages, block_table, lengths, k_cur, v_cur],
     )
 
 
-paged_verify_op = register_op("paged_verify", _verify_deduce,
-                              _verify_legalize)
+register_fuzz("paged_attention", "paged_attention", paged_attention,
+              weight=1.5)
+
+
+# ---------------------------------------------------------------------------
+# paged_prefill: chunked prefill over the page pool, bit-exact vs. dense.
+# ---------------------------------------------------------------------------
+
+
+def _prefill_legalize(call: Call) -> Legalized:
+    kern = open_kernel(
+        "paged_prefill", call,
+        ("Q", "KP", "VP", "BT", "PAST", "KC", "VC"), known=(0, 1, 3, 4, 5),
+        paged=True,
+    )
+    # PAST is an anchor: its extent binds the cached context length m.
+    _, kpb, vpb, _, past, kcb, vcb = kern.bufs
+    s, m = kern.out.shape[1], past.shape[0]
+    gather = _page_gather(kern)
+
+    def kv_read(pool, cur):
+        # Key/value column ji: cached columns (ji < m) gather their page
+        # through the block table; current columns read this chunk's
+        # freshly projected K/V.  Both branches evaluate, so the current
+        # read clamps ji - m at zero to stay in bounds.
+        def read(bi, ji, kv_head, di):
+            local = cur[bi, sym.Max(ji - m, sym.IntImm(0)), kv_head, di]
+            is_past = tir.Cmp("lt", tir.IndexValue(ji), tir.IndexValue(m))
+            return tir.select(is_past, gather(pool, bi, ji, kv_head, di),
+                              local)
+
+        return read
+
+    def masked(expr, i, j):
+        # Query i sits at absolute position m + i; causal over cached
+        # plus current keys is j <= i + m — the same predicate the dense
+        # kernel uses with key length m + s (j <= i + (mk - s)).
+        allowed = tir.Cmp("le", tir.IndexValue(j), tir.IndexValue(i + m))
+        return tir.select(allowed, expr, -1e9)
+
+    # Total key positions: m cached + s current.  The block table must
+    # cover all of them (w * page >= m + s): column j < m gathers page
+    # j // page of the sequence, and the gather evaluates over the whole
+    # grid (np.where semantics), so even current-column reads index it.
+    return softmax_stages(kern, sym.simplify(m + s), kv_read(kpb, kcb),
+                          kv_read(vpb, vcb), masked)
+
+
+paged_prefill_op = register_op(
+    "paged_prefill",
+    deduce_like_q("paged_prefill", [(3, "block_table", None),
+                                    (4, "past", "cached-context")]),
+    _prefill_legalize,
+)
+
+
+def paged_prefill(q: Expr, k_pages: Expr, v_pages: Expr, block_table: Expr,
+                  past: Expr, k_cur: Expr, v_cur: Expr) -> Call:
+    """Chunked prefill attention over a paged KV pool.
+
+    The query chunk (``s`` positions starting at offset ``m``) attends
+    every cached position of its sequence — gathered from the page pool
+    via the block table — plus itself, causally.  ``past`` is a rank-1
+    integer *anchor*: only its length matters, binding the symbolic
+    cached-context dim ``m`` at the function boundary.  The block table
+    must cover ``m + s`` positions (the pages this chunk's K/V will be
+    written into are already allocated).  Output is bit-exact against
+    the dense ``attention`` op over the concatenated cache.
+    """
+    return Call(
+        paged_prefill_op,
+        [q, k_pages, v_pages, block_table, past, k_cur, v_cur],
+    )
+
+
+register_fuzz("paged_prefill", "paged_prefill", paged_prefill, weight=1.0)
+
+
+# ---------------------------------------------------------------------------
+# paged_verify: ragged multi-token decode for speculative verification.
+# ---------------------------------------------------------------------------
+
+
+def _verify_legalize(call: Call) -> Legalized:
+    kern = open_kernel(
+        "paged_verify", call,
+        ("Q", "KP", "VP", "BT", "LN", "SL", "KC", "VC"), known=(0, 1, 3, 6),
+        paged=True,
+    )
+    slb = kern.bufs[5]
+
+    def masked_cur(expr, bi, si, ti):
+        # Current key ti is attendable from query si iff ti <= si AND
+        # (ti < spec_lens[bi] OR ti == si): causal over the valid ragged
+        # width, with the self term kept unconditionally so padded rows
+        # (si >= spec_lens[bi]) still have a non-empty softmax and never
+        # read K columns beyond their own.  For valid rows the self term
+        # is already inside the width, so the escape is a no-op there.
+        causal = tir.Cmp("le", tir.IndexValue(ti), tir.IndexValue(si))
+        in_spec = tir.Cmp("lt", tir.IndexValue(ti), slb[bi])
+        is_self = tir.Cmp("eq", tir.IndexValue(ti), tir.IndexValue(si))
+        inner = tir.select(in_spec, expr, tir.select(is_self, expr, -1e9))
+        return tir.select(causal, inner, -1e9)
+
+    return _two_group_stages(kern, masked_cur)
+
+
+paged_verify_op = register_op(
+    "paged_verify",
+    deduce_like_q("paged_verify", [(3, "block_table", None),
+                                   (4, "lengths", None),
+                                   (5, "spec_lens", None)]),
+    _verify_legalize,
+)
 
 
 def paged_verify(q: Expr, k_pages: Expr, v_pages: Expr, block_table: Expr,
@@ -615,121 +368,30 @@ register_fuzz("paged_verify", "paged_verify", paged_verify, weight=1.0)
 # encoder K/V, bit-exact vs. the dense non-causal ``attention`` op.
 # ---------------------------------------------------------------------------
 
-_CROSS_ARG_NAMES = ("q", "k_pages", "v_pages", "block_table", "enc")
-
-
-def _cross_deduce(call: Call):
-    q = tensor_ann_of(call.args[0], "paged_cross_attention", 0)
-    table = tensor_ann_of(call.args[3], "paged_cross_attention", 3)
-    if table.dtype not in ("i64", "i32"):
-        raise TypeError(
-            "paged_cross_attention: block_table must be an integer tensor"
-        )
-    enc = tensor_ann_of(call.args[4], "paged_cross_attention", 4)
-    if enc.dtype not in ("i64", "i32"):
-        raise TypeError("paged_cross_attention: enc must be an integer tensor")
-    if enc.shape is not None and len(enc.shape) != 1:
-        raise TypeError("paged_cross_attention: enc must be rank 1 (its "
-                        "length anchors the encoder-context dim)")
-    if q.shape is None:
-        return TensorAnn(dtype=q.dtype, ndim=4)
-    return TensorAnn(q.shape, q.dtype)
-
 
 def _cross_legalize(call: Call) -> Legalized:
-    anns = [tensor_ann_of(a, "paged_cross_attention", i)
-            for i, a in enumerate(call.args)]
-    q_ann, kp_ann, vp_ann, bt_ann, enc_ann = anns
-    q_shape = require_known_shape(q_ann, "paged_cross_attention")
-    kp_shape = require_known_shape(kp_ann, "paged_cross_attention")
-    bt_shape = require_known_shape(bt_ann, "paged_cross_attention")
-    enc_shape = require_known_shape(enc_ann, "paged_cross_attention")
-
-    b, s, h, d = q_shape
-    page = kp_shape[1]
-    h_kv = kp_shape[2]
-    t = enc_shape[0]  # encoder positions (anchor argument's extent)
-    if not (sym.is_static(h) and sym.is_static(h_kv) and sym.is_static(d)
-            and sym.is_static(page)):
-        raise ValueError(
-            "paged_cross_attention: head counts, head_dim and the page size "
-            "must be static"
-        )
-    page_i = sym.as_static_int(sym.simplify(page))
-    group = sym.as_static_int(sym.simplify(h)) // sym.as_static_int(
-        sym.simplify(h_kv)
+    kern = open_kernel(
+        "paged_cross_attention", call, ("Q", "KP", "VP", "BT", "ENC"),
+        known=(0, 1, 3, 4), paged=True,
     )
-    scale = 1.0 / (sym.as_static_int(sym.simplify(d)) ** 0.5)
+    # ENC is an anchor: its extent binds the encoder positions t.
+    _, kpb, vpb, _, enc = kern.bufs
+    t = enc.shape[0]
+    gather = _page_gather(kern)
 
-    # The tensor program mirrors the dense non-causal ``attention``
-    # legalization stage for stage — same four reductions over exactly the
-    # t encoder columns, no mask (every encoder position is attendable and
-    # the reduce extent is t, so no padding positions enter the softmax) —
-    # which makes the output bit-exact against dense cross-attention over
-    # the contiguous encoder K/V.  Dense non-causal attention never
-    # library-dispatches, so the two lowering paths agree as well.
-    f = tir.TirBuilder("paged_cross_attention")
-    f.attr("op_kind", "attention")
-    qb = f.arg("Q", q_shape, q_ann.dtype)
-    kpb = f.arg("KP", kp_shape, kp_ann.dtype)
-    vpb = f.arg("VP", vp_ann.shape, vp_ann.dtype)
-    btb = f.arg("BT", bt_shape, bt_ann.dtype)
-    f.arg("ENC", enc_shape, enc_ann.dtype)  # anchor only: binds t
-    ob = f.out("O", q_shape, q_ann.dtype)
-
-    acc = q_ann.dtype if q_ann.dtype == "f32" else "f32"
-    scores = f.alloc("S", (b, h, s, t), acc)
-    row_max = f.alloc("M", (b, h, s), acc)
-    row_sum = f.alloc("E", (b, h, s), acc)
-
-    def gather(data, bi, ji, kv_head, di):
-        # data[block_table[bi, ji // B], ji % B, kv_head, di]
-        return tir.GatherRead(
-            data, btb, (), (bi, ji // page_i),
-            (ji % page_i, kv_head, di),
-        )
-
-    # Stage 1: scaled scores.
-    bi, hi, si, ji = f.spatial(b, h, s, t)
-    di = f.reduce(d)
-    prod = tir.cast(acc, qb[bi, si, hi, di]) * tir.cast(
-        acc, gather(kpb, bi, ji, hi // group, di)
-    )
-    f.store(scores, [bi, hi, si, ji], prod * scale, combiner="sum", init=0.0)
-
-    # Stage 2: row max.
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(t)
-    f.store(row_max, [bi, hi, si], scores[bi, hi, si, ji], combiner="max")
-
-    # Stage 3: exp-sum.
-    bi, hi, si = f.spatial(b, h, s)
-    ji = f.reduce(t)
-    f.store(
-        row_sum,
-        [bi, hi, si],
-        tir.exp(scores[bi, hi, si, ji] - row_max[bi, hi, si]),
-        combiner="sum",
-        init=0.0,
-    )
-
-    # Stage 4: probability-weighted values.
-    bi, si, hi, di = f.spatial(b, s, h, d)
-    ji = f.reduce(t)
-    prob = tir.exp(
-        scores[bi, hi, si, ji] - row_max[bi, hi, si]
-    ) / row_sum[bi, hi, si]
-    weighted = prob * tir.cast(acc, gather(vpb, bi, ji, hi // group, di))
-    f.store(ob, [bi, si, hi, di], tir.cast(q_ann.dtype, weighted),
-            combiner="sum", init=0.0)
-
-    return Legalized(
-        f.build(), list(call.args), TensorAnn(q_shape, q_ann.dtype)
-    )
+    # No mask: every encoder position is attendable and the reduce extent
+    # is exactly t, so no padding position enters the softmax.  Dense
+    # non-causal attention never library-dispatches, so the two lowering
+    # paths agree bit for bit as well.
+    return softmax_stages(kern, t, lambda *at: gather(kpb, *at),
+                          lambda *at: gather(vpb, *at))
 
 
 paged_cross_attention_op = register_op(
-    "paged_cross_attention", _cross_deduce, _cross_legalize
+    "paged_cross_attention",
+    deduce_like_q("paged_cross_attention",
+                  [(3, "block_table", None), (4, "enc", "encoder-context")]),
+    _cross_legalize,
 )
 
 

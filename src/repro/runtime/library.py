@@ -230,49 +230,78 @@ REGISTRY.register(
 )
 
 
-def _paged_attention_cost(in_sd, out_sd):
-    (q_shape, _) = in_sd[0]
-    (kp_shape, kp_dtype) = in_sd[1]
-    (bt_shape, _) = in_sd[3]
-    b, s, h, d = q_shape
-    page, h_kv = kp_shape[1], kp_shape[2]
-    w = bt_shape[1]
-    ctx = w * page + s
-    flops = 2 * b * h * s * ctx * d * 2  # QK^T and PV over paged + current
-    # Traffic counts only the pages the block tables actually reference
-    # (b*w of them, for K and V), not the whole pool the pages args span.
-    touched = 2 * b * w * page * h_kv * d * dtypes.itemsize(kp_dtype)
-    light = _bytes_of(
-        [in_sd[0], in_sd[3], in_sd[4], in_sd[5], in_sd[6]]
-    ) + _bytes_of(out_sd)
-    return flops, light + touched
+def _paged_cost(cached_positions):
+    """Cost model of a paged-attention kernel.
+
+    ``cached_positions(in_sd, page)`` is how many pooled key positions each
+    sequence attends; the ``s`` current positions come on top.  Traffic is
+    every argument except the two pools, plus only the pages that hold
+    those positions (for K and V) — not the whole pool the pages args span.
+    """
+
+    def cost(in_sd, out_sd):
+        (b, s, h, d), _ = in_sd[0]
+        (_, page, h_kv, _), kp_dtype = in_sd[1]
+        cached = cached_positions(in_sd, page)
+        flops = 2 * b * h * s * (cached + s) * d * 2  # QK^T and PV
+        touched = 2 * b * (-(-cached // page)) * page * h_kv * d * (
+            dtypes.itemsize(kp_dtype)
+        )
+        light = _bytes_of([in_sd[0], *in_sd[3:]]) + _bytes_of(out_sd)
+        return flops, light + touched
+
+    return cost
 
 
-def _paged_attention_compute(inputs, outputs):
-    # Decode-style attention over a paged KV pool: gather each sequence's
-    # pages through its block table, mask padding slots by the true length,
-    # and attend the current query block causally (see repro.ops.paged).
+def _table_width_positions(in_sd, page):
+    # Decode/verify attend whatever the block table references (b*w pages),
+    # so verifying s speculative tokens re-reads the same cached K/V a
+    # single-token decode would — that is the speculative win the
+    # analytical clock captures.
+    return in_sd[3][0][1] * page
+
+
+def _anchor_positions(in_sd, page):
+    # Prefill attends the m cached tokens (the anchor argument's length),
+    # not the table's padded width.
+    return in_sd[4][0][0]
+
+
+def _two_group_compute(inputs, outputs):
+    # Attention over a paged KV pool plus the current query block: gather
+    # each sequence's pages through its block table, mask padding slots by
+    # the true length, and attend the current block causally — over each
+    # sequence's own speculative width spec_lens[i], self position always
+    # attendable, when the ragged ``spec_lens`` argument is present
+    # (paged_verify) and over the whole block otherwise (paged_attention);
+    # see repro.ops.paged.
     q, kp, vp = (x.astype(np.float64) for x in inputs[:3])
     table = inputs[3].astype(np.int64)
     lengths = inputs[4].astype(np.int64)
-    kc, vc = (x.astype(np.float64) for x in inputs[5:7])
+    spec_lens = inputs[5].astype(np.int64) if len(inputs) == 8 else None
+    kc, vc = (x.astype(np.float64) for x in inputs[-2:])
     b, s, h, d = q.shape
     page, h_kv = kp.shape[1], kp.shape[2]
     w = table.shape[1]
     group = h // h_kv
     scale = 1.0 / np.sqrt(d)
     causal = np.arange(s)[None, :] <= np.arange(s)[:, None]
+    self_pos = np.eye(s, dtype=bool)
     out = np.zeros_like(q)
     for i in range(b):
         k_past = kp[table[i]].reshape(w * page, h_kv, d)
         v_past = vp[table[i]].reshape(w * page, h_kv, d)
         valid = np.arange(w * page) < lengths[i]
+        cur_mask = causal
+        if spec_lens is not None:
+            in_spec = np.arange(s)[None, :] < spec_lens[i]
+            cur_mask = causal & (in_spec | self_pos)
         for head in range(h):
             g = head // group
             scores_p = q[i, :, head, :] @ k_past[:, g, :].T * scale
             scores_p = np.where(valid[None, :], scores_p, -1e9)
             scores_c = q[i, :, head, :] @ kc[i, :, g, :].T * scale
-            scores_c = np.where(causal, scores_c, -1e9)
+            scores_c = np.where(cur_mask, scores_c, -1e9)
             scores = np.concatenate([scores_p, scores_c], axis=1)
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             probs = e / e.sum(axis=-1, keepdims=True)
@@ -285,30 +314,10 @@ def _paged_attention_compute(inputs, outputs):
 #: dense FlashAttention entry, only CUDA/ROCm ship it.
 REGISTRY.register(
     LibraryKernel(
-        "flashinfer.paged_attention", _paged_attention_compute,
-        _paged_attention_cost, ("cuda", "rocm"),
+        "flashinfer.paged_attention", _two_group_compute,
+        _paged_cost(_table_width_positions), ("cuda", "rocm"),
     )
 )
-
-
-def _paged_prefill_cost(in_sd, out_sd):
-    (q_shape, _) = in_sd[0]
-    (kp_shape, kp_dtype) = in_sd[1]
-    (past_shape, _) = in_sd[4]
-    b, s, h, d = q_shape
-    page, h_kv = kp_shape[1], kp_shape[2]
-    m = past_shape[0]
-    ctx = m + s
-    flops = 2 * b * h * s * ctx * d * 2  # QK^T and PV over cached + current
-    # Traffic counts only the pages holding the m cached tokens (for K and
-    # V), not the whole pool nor the table's padded width.
-    touched = 2 * b * (-(-m // page)) * page * h_kv * d * dtypes.itemsize(
-        kp_dtype
-    )
-    light = _bytes_of(
-        [in_sd[0], in_sd[3], in_sd[4], in_sd[5], in_sd[6]]
-    ) + _bytes_of(out_sd)
-    return flops, light + touched
 
 
 def _paged_prefill_compute(inputs, outputs):
@@ -341,75 +350,17 @@ def _paged_prefill_compute(inputs, outputs):
 REGISTRY.register(
     LibraryKernel(
         "flashinfer.paged_prefill", _paged_prefill_compute,
-        _paged_prefill_cost, ("cuda", "rocm"),
+        _paged_cost(_anchor_positions), ("cuda", "rocm"),
     )
 )
-
-
-def _paged_verify_cost(in_sd, out_sd):
-    (q_shape, _) = in_sd[0]
-    (kp_shape, kp_dtype) = in_sd[1]
-    (bt_shape, _) = in_sd[3]
-    b, s, h, d = q_shape
-    page, h_kv = kp_shape[1], kp_shape[2]
-    w = bt_shape[1]
-    ctx = w * page + s
-    flops = 2 * b * h * s * ctx * d * 2  # QK^T and PV over paged + current
-    # Same traffic model as paged_attention: only the referenced pages
-    # move, so verifying s speculative tokens re-reads the same cached
-    # K/V a single-token decode would — that is the speculative win the
-    # analytical clock captures.
-    touched = 2 * b * w * page * h_kv * d * dtypes.itemsize(kp_dtype)
-    light = _bytes_of(
-        [in_sd[0], in_sd[3], in_sd[4], in_sd[5], in_sd[6], in_sd[7]]
-    ) + _bytes_of(out_sd)
-    return flops, light + touched
-
-
-def _paged_verify_compute(inputs, outputs):
-    # Ragged multi-token paged decode: like paged_attention's compute, but
-    # the current-block mask is causal over each sequence's own speculative
-    # width spec_lens[i] with the self position always attendable (see
-    # repro.ops.paged's paged_verify).
-    q, kp, vp = (x.astype(np.float64) for x in inputs[:3])
-    table = inputs[3].astype(np.int64)
-    lengths = inputs[4].astype(np.int64)
-    spec_lens = inputs[5].astype(np.int64)
-    kc, vc = (x.astype(np.float64) for x in inputs[6:8])
-    b, s, h, d = q.shape
-    page, h_kv = kp.shape[1], kp.shape[2]
-    w = table.shape[1]
-    group = h // h_kv
-    scale = 1.0 / np.sqrt(d)
-    causal = np.arange(s)[None, :] <= np.arange(s)[:, None]
-    self_pos = np.eye(s, dtype=bool)
-    out = np.zeros_like(q)
-    for i in range(b):
-        k_past = kp[table[i]].reshape(w * page, h_kv, d)
-        v_past = vp[table[i]].reshape(w * page, h_kv, d)
-        valid = np.arange(w * page) < lengths[i]
-        in_spec = np.arange(s)[None, :] < spec_lens[i]
-        cur_mask = causal & (in_spec | self_pos)
-        for head in range(h):
-            g = head // group
-            scores_p = q[i, :, head, :] @ k_past[:, g, :].T * scale
-            scores_p = np.where(valid[None, :], scores_p, -1e9)
-            scores_c = q[i, :, head, :] @ kc[i, :, g, :].T * scale
-            scores_c = np.where(cur_mask, scores_c, -1e9)
-            scores = np.concatenate([scores_p, scores_c], axis=1)
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs = e / e.sum(axis=-1, keepdims=True)
-            values = np.concatenate([v_past[:, g, :], vc[i, :, g, :]], axis=0)
-            out[i, :, head, :] = probs @ values
-    outputs[0][...] = out.astype(inputs[0].dtype)
 
 
 #: Speculative-verify attention: the ragged multi-token sibling of
 #: paged_attention, same CUDA/ROCm-only availability.
 REGISTRY.register(
     LibraryKernel(
-        "flashinfer.paged_verify", _paged_verify_compute,
-        _paged_verify_cost, ("cuda", "rocm"),
+        "flashinfer.paged_verify", _two_group_compute,
+        _paged_cost(_table_width_positions), ("cuda", "rocm"),
     )
 )
 

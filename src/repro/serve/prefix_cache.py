@@ -12,16 +12,20 @@ prefix take additional shared references via
 :meth:`~repro.serve.kv_cache.PagedKVCache.attach_shared`; publishing a
 finished prefill (:meth:`PrefixCache.insert`) shares the sequence's
 prompt blocks into new nodes.  A node whose block is back to refcount 1
-is referenced by the cache alone and is *evictable*: under pool
-pressure, :meth:`reclaim` frees such blocks LRU-first.
+is referenced by the cache alone; under pool pressure, :meth:`reclaim`
+frees such blocks LRU-first.
 
-Eviction is leaf-first, which is always sufficient: a sequence holding
-a node's block necessarily holds every ancestor's block too (prefixes
-attach contiguously from the root), so refcount-1 nodes form
-downward-closed subtrees — an evictable interior node only has
-evictable descendants, and peeling leaves reaches it without ever
-stranding a referenced child.  LRU order is deterministic: nodes carry
-a logical touch tick, ties break on block id.
+Eviction is leaf-first, so a node is *evictable* only when its whole
+subtree is cache-only.  A sequence that attached a node's block holds
+every ancestor's block too (prefixes attach contiguously from the
+root), but publishing does not keep refcount-1 nodes downward closed:
+:meth:`PrefixCache.insert` deduplicates a chunk that is already cached
+(the sequence keeps its own copy of that page privately) and then
+publishes the sequence's *later* pages as children of the existing
+node, so a refcount-1 node can sit above a block a live sequence still
+shares.  Peeling leaves never reaches such a node until the sequence
+lets go, and :meth:`evictable_count` does not count it.  LRU order is
+deterministic: nodes carry a logical touch tick, ties break on block id.
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ class _Node:
     parent: Optional["_Node"]
     children: Dict[Tuple[int, ...], "_Node"] = field(default_factory=dict)
     last_use: int = 0
+    #: Scratch for :meth:`PrefixCache.evictable_count`: the number of the
+    #: last walk that found a shared block in this node's subtree.
+    walk: int = 0
 
 
 class PrefixCache:
@@ -114,14 +121,30 @@ class PrefixCache:
         return [n.block for n in self._nodes()]
 
     def evictable_count(self, exclude: Sequence[int] = ()) -> int:
-        """Nodes whose block only the cache references.  Downward closure
-        (module docstring) makes every one of them eventually freeable by
-        leaf-first eviction, so this is the reclaimable-block count."""
+        """Nodes whose whole subtree only the cache references — exactly
+        the blocks leaf-first eviction can free, so this is what
+        :meth:`reclaim` would return for an unbounded ``need``.  A
+        cache-only node above a block some sequence still shares (module
+        docstring) is not counted.  Blocks in ``exclude`` count as shared."""
         skip = set(exclude)
-        return sum(
-            1 for n in self._nodes()
-            if n.block not in skip and self.allocator.refcount(n.block) == 1
-        )
+        refcount = self.allocator.refcount
+        self._root.walk = walk = self._root.walk + 1
+        total = pinned = 0
+        stack = list(self._root.children.values())
+        while stack:
+            node = stack.pop()
+            total += 1
+            if node.children:
+                stack.extend(node.children.values())
+            block = node.block
+            if refcount(block) != 1 or block in skip:
+                # Pin the path to the root, stopping where an earlier
+                # shared block already pinned it (the root always has).
+                while node.walk != walk:
+                    node.walk = walk
+                    pinned += 1
+                    node = node.parent
+        return total - pinned
 
     # -- lookup / attach --------------------------------------------------------
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import ops
+from repro import ops, sym
+from repro.core import TensorAnn, Var
 from repro.core.expr import Call
 from repro.runtime.library import REGISTRY
 
@@ -117,6 +118,72 @@ def test_deduce_validates_integer_dtypes():
             var_of(lengths), var_of(kc), var_of(vc),
         )
         call.op.deduce(call)
+
+
+def _family_call(op, bad_idx=None, bad=None):
+    """A call of any paged op on ``_case`` arrays, optionally with one
+    argument swapped out: (q, pools, table, <rank-1 ints...>, [k/v cur])."""
+    q, kp, vp, table, lengths, kc, vc = _case()
+    n_int = {ops.paged_verify: 2}.get(op, 1)
+    arrays = [q, kp, vp, table] + [lengths] * n_int
+    if op is not ops.paged_cross_attention:
+        arrays += [kc, vc]
+    if bad_idx is not None:
+        arrays[bad_idx] = bad(arrays[bad_idx])
+    return op(*[var_of(a) for a in arrays])
+
+
+@pytest.mark.parametrize("op,idx,arg", [
+    (ops.paged_attention, 3, "block_table"),
+    (ops.paged_attention, 4, "lengths"),
+    (ops.paged_prefill, 3, "block_table"),
+    (ops.paged_prefill, 4, "past"),
+    (ops.paged_verify, 3, "block_table"),
+    (ops.paged_verify, 4, "lengths"),
+    (ops.paged_verify, 5, "spec_lens"),
+    (ops.paged_cross_attention, 3, "block_table"),
+    (ops.paged_cross_attention, 4, "enc"),
+])
+def test_deduce_names_the_non_integer_argument(op, idx, arg):
+    call = _family_call(op, idx, lambda a: a.astype(np.float32))
+    name = call.op.name
+    with pytest.raises(TypeError,
+                       match=f"^{name}: {arg} must be an integer tensor$"):
+        call.op.deduce(call)
+
+
+@pytest.mark.parametrize("op,arg,dim", [
+    (ops.paged_prefill, "past", "cached-context"),
+    (ops.paged_cross_attention, "enc", "encoder-context"),
+])
+def test_deduce_requires_rank1_anchor(op, arg, dim):
+    call = _family_call(op, 4, lambda a: a[:, None])
+    with pytest.raises(TypeError) as err:
+        call.op.deduce(call)
+    assert str(err.value) == (
+        f"{call.op.name}: {arg} must be rank 1 (its length anchors the "
+        f"{dim} dim)"
+    )
+
+
+@pytest.mark.parametrize("op", [
+    ops.paged_attention, ops.paged_prefill, ops.paged_verify,
+    ops.paged_cross_attention,
+])
+def test_deduce_mirrors_q_and_legalize_needs_static_heads(op):
+    call = _family_call(op)
+    q_ann = call.args[0].ann
+    out = call.op.deduce(call)
+    assert (out.shape, out.dtype) == (q_ann.shape, q_ann.dtype)
+    h = sym.SymVar("h")
+    q_shape = (q_ann.shape[0], q_ann.shape[1], h, q_ann.shape[3])
+    call.args[0] = Var("q", TensorAnn(q_shape, q_ann.dtype))
+    with pytest.raises(ValueError) as err:
+        call.op.legalize(call)
+    assert str(err.value) == (
+        f"{call.op.name}: head counts, head_dim and the page size must be "
+        "static"
+    )
 
 
 def test_op_metadata():

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.models import TINY_LLAMA
+from repro.models import TINY_LLAMA, TINY_LLAMA_TP
 from repro.obs import validate_chrome_trace
-from repro.runtime import TEST_DEVICE
+from repro.runtime import RTX_4090, TEST_DEVICE
 from repro.serve import (
     ClusterConfig,
     EngineConfig,
@@ -186,6 +186,35 @@ class TestAggregation:
         }
         assert any(n.startswith("replica0 ") for n in names)
         assert any(n.startswith("replica1 ") for n in names)
+
+
+def test_saturated_prefix_fleet_under_pool_pressure_preempts_and_finishes():
+    """A reduced ``serve-fleet-prefix`` (benchmarks/suite) at the block
+    count where ``schedule()`` used to raise ``OutOfBlocks``: the prefix
+    cache counted cache-only nodes above a still-shared block as
+    reclaimable, so the scheduler appended instead of preempting."""
+    n = 200
+    report = serve_cluster(
+        TINY_LLAMA_TP, RTX_4090,
+        WorkloadConfig(
+            num_requests=n, seed=1, arrival_rate=20000.0,
+            prompt_min=32, prompt_max=96, output_min=8, output_max=48,
+            prefix_families=6, prefix_len=24,
+            vocab_size=TINY_LLAMA_TP.vocab_size,
+        ),
+        ClusterConfig(dp=2, policy="prefix_affinity", engine=EngineConfig(
+            tp=2, page_size=4, num_blocks=160,
+            scheduler=SchedulerConfig(max_num_seqs=16,
+                                      max_num_batched_tokens=128,
+                                      prefill_chunk=32),
+        )),
+    )  # run() ends with check_no_leaks() on every replica
+    for rep in report.replica_reports:
+        assert rep.summary["num_finished"] == rep.summary["num_requests"]
+        assert rep.summary["kv_pool"]["leaked_blocks"] == 0
+        assert rep.summary["preemptions"] > 0
+    assert sum(rep.summary["num_finished"]
+               for rep in report.replica_reports) == n
 
 
 class TestClusterCLIValidation:

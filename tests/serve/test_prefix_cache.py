@@ -1,6 +1,10 @@
 """Radix prefix cache: matching, sharing, LRU eviction, accounting."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import CacheError, PagedKVCache, PrefixCache
 
@@ -157,6 +161,70 @@ def test_evictable_count_excludes_attached_and_excluded_blocks():
     assert cache.evictable_count() == 0  # attached blocks are pinned
     kv.release_sequence(1)
     assert cache.evictable_count() == 2
+    cache.clear()
+    kv.check_no_leaks()
+
+
+def _reclaimable(cache):
+    """What ``reclaim`` can actually free, measured on a throwaway copy."""
+    return copy.deepcopy(cache).reclaim(10**9)
+
+
+def test_cache_only_node_above_a_shared_child_is_not_evictable():
+    """``insert`` deduplicates an already-cached chunk and publishes the
+    sequence's later pages under the existing node: that node is
+    refcount 1 yet leaf-first eviction cannot reach it."""
+    kv, cache = _kv()
+    first = tuple(range(4))
+    _prefill(kv, cache, 0, first)
+    kv.release_sequence(0)  # the first-page node is cache-only now
+    # Seq 1 prefilled the same first page privately (no attach), plus one.
+    _prefill(kv, cache, 1, first + (9, 9, 9, 9))
+    parent_block, = cache.match(first)[0]
+    assert parent_block != kv.blocks(1)[0]  # deduplicated: own copy kept
+    assert kv.allocator.refcount(parent_block) == 1
+    assert kv.allocator.refcount(kv.blocks(1)[1]) == 2  # published child
+    assert cache.evictable_count() == _reclaimable(cache) == 0
+    assert kv.num_available_blocks == kv.num_free_blocks
+    kv.release_sequence(1)
+    assert cache.evictable_count() == _reclaimable(cache) == 2
+    assert cache.reclaim(4) == 2
+    kv.check_no_leaks()
+
+
+_PAGES = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["prefill", "attach", "free"]), _PAGES,
+              st.integers(0, 7)),
+    max_size=30,
+))
+def test_available_blocks_is_what_reclaim_can_free(steps):
+    """Random private prefills (dedup on publish), attached prefills and
+    releases over a two-chunk alphabet: the reclaimable count the
+    scheduler plans with always equals what eviction can deliver."""
+    kv, cache = _kv(num_blocks=128, page_size=2)
+    live = []
+    for seq_id, (op, pages, pick) in enumerate(steps):
+        if op == "free":
+            if live:
+                kv.release_sequence(live.pop(pick % len(live)))
+        else:
+            tokens = tuple(t for chunk in pages for t in (chunk, chunk))
+            kv.add_sequence(seq_id)
+            matched = 0
+            if op == "attach":
+                matched = cache.attach(seq_id, tokens,
+                                       max_tokens=len(tokens) - 1)
+            kv.append(seq_id, len(tokens) - matched)
+            cache.insert(tokens, kv.blocks(seq_id))
+            live.append(seq_id)
+        assert (kv.num_available_blocks - kv.num_free_blocks
+                == _reclaimable(cache))
+    for seq_id in live:
+        kv.release_sequence(seq_id)
     cache.clear()
     kv.check_no_leaks()
 
