@@ -28,7 +28,10 @@ _COMPILE_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
 def compile_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters for the RelaxLLM compile cache (copy)."""
+    """Hit/miss counters of the compile cache (copy).  They count
+    *executables*: a speculative pair is two lookups (target and draft),
+    so building one cold reads 2 misses and re-instantiating it 2 hits.
+    Host-side diagnostics only — in no summary, report or trace."""
     return dict(_COMPILE_CACHE_STATS)
 
 
@@ -53,6 +56,39 @@ def _cache_key(cfg, device: Device, bounds: Dict[str, int],
     )
 
 
+def _compile(key: Tuple, mod, device: Device, bounds: Dict[str, int],
+             flags: Dict[str, bool]) -> Tuple:
+    """``(executable, compile report, cuda-graph flag)`` for ``key``: the
+    cached entry, or a fresh build that is then cached.  The one place a
+    runner class reaches the compiler."""
+    built = _COMPILE_CACHE.get(key)
+    if built is not None:
+        _COMPILE_CACHE_STATS["hits"] += 1
+        return built
+    _COMPILE_CACHE_STATS["misses"] += 1
+    # One instrumented context drives both the compiler and the VM, so
+    # every benchmark artifact carries per-pass compile cost for free.
+    ctx = PassContext(
+        device=device,
+        sym_var_upper_bounds=dict(bounds),
+        instruments=[Timing(), IRStats()],
+        **flags,
+    )
+    exe = transform.build(mod, ctx=ctx)
+    built = _COMPILE_CACHE[key] = (exe, ctx.report, ctx.enable_cuda_graph)
+    return built
+
+
+def _steady_time(vm, fn: str, *args, warmup: int = 1) -> float:
+    """Steady-state simulated time of one ``fn`` call: warm (graph
+    capture, pool growth), reset the stats, run once more."""
+    for _ in range(max(warmup, 0)):
+        vm.run(fn, *args)
+    vm.reset_stats()
+    vm.run(fn, *args)
+    return vm.stats.time_s
+
+
 class RelaxLLM:
     """A compiled LLM plus helpers to meter decode/prefill steps."""
 
@@ -67,10 +103,8 @@ class RelaxLLM:
         enable_memory_planning: bool = True,
         enable_cuda_graph: bool = True,
         page_size: Optional[int] = None,
-        use_compile_cache: bool = True,
         tp: int = 1,
         interconnect=None,
-        _precompiled: Optional[Tuple] = None,
     ):
         self.cfg = cfg
         self.device = device
@@ -90,34 +124,9 @@ class RelaxLLM:
             "enable_memory_planning": enable_memory_planning,
             "enable_cuda_graph": enable_cuda_graph,
         }
-        key = _cache_key(cfg, device, bounds, flags, page_size, tp=tp)
-        if _precompiled is not None:
-            # Injected by RelaxSpecPair: the executable was built (or
-            # cache-hit) under the *pair's* cache entry; no stats here.
-            self.exe, self.compile_report, self.enable_cuda_graph = _precompiled
-        elif use_compile_cache and key in _COMPILE_CACHE:
-            _COMPILE_CACHE_STATS["hits"] += 1
-            self.exe, self.compile_report, self.enable_cuda_graph = (
-                _COMPILE_CACHE[key]
-            )
-        else:
-            _COMPILE_CACHE_STATS["misses"] += 1
-            # One instrumented context drives both the compiler and the VM,
-            # so every benchmark artifact carries per-pass compile cost for
-            # free.
-            ctx = PassContext(
-                device=device,
-                sym_var_upper_bounds=dict(bounds),
-                instruments=[Timing(), IRStats()],
-                **flags,
-            )
-            self.exe = transform.build(self.exported.mod, ctx=ctx)
-            self.compile_report = ctx.report
-            self.enable_cuda_graph = ctx.enable_cuda_graph
-            if use_compile_cache:
-                _COMPILE_CACHE[key] = (
-                    self.exe, self.compile_report, self.enable_cuda_graph
-                )
+        self.exe, self.compile_report, self.enable_cuda_graph = _compile(
+            _cache_key(cfg, device, bounds, flags, page_size, tp=tp),
+            self.exported.mod, device, bounds, flags)
         if tp > 1:
             from ..dist import MeshExecutor, MeshVM, NVLINK
 
@@ -146,28 +155,24 @@ class RelaxLLM:
             for _ in range(2 * cfg.num_layers)
         ]
 
+    def _step_args(self, batch: int, seq: int, cached: int) -> List[NDArray]:
+        tokens = NDArray.abstract((batch, seq), "i64")
+        return [tokens, *self._caches(batch, cached), *self.params]
+
     def run_decode(self, batch: int, context: int) -> None:
-        tokens = NDArray.abstract((batch, 1), "i64")
-        self.vm.run("decode", tokens, *self._caches(batch, context), *self.params)
+        self.vm.run("decode", *self._step_args(batch, 1, context))
 
     def run_prefill(self, batch: int, seq: int, past: int = 0) -> None:
-        tokens = NDArray.abstract((batch, seq), "i64")
-        self.vm.run("prefill", tokens, *self._caches(batch, past), *self.params)
+        self.vm.run("prefill", *self._step_args(batch, seq, past))
 
     def decode_step_time(self, batch: int, context: int, warmup: int = 1) -> float:
         """Steady-state simulated time of one decode step."""
-        for _ in range(max(warmup, 0)):
-            self.run_decode(batch, context)
-        self.vm.reset_stats()
-        self.run_decode(batch, context)
-        return self.vm.stats.time_s
+        return _steady_time(self.vm, "decode",
+                            *self._step_args(batch, 1, context), warmup=warmup)
 
     def prefill_time(self, batch: int, seq: int, warmup: int = 1) -> float:
-        for _ in range(max(warmup, 0)):
-            self.run_prefill(batch, seq)
-        self.vm.reset_stats()
-        self.run_prefill(batch, seq)
-        return self.vm.stats.time_s
+        return _steady_time(self.vm, "prefill",
+                            *self._step_args(batch, seq, 0), warmup=warmup)
 
     def decode_throughput(self, batch: int, context: int) -> float:
         """Tokens per second per sequence at steady state."""
@@ -196,15 +201,9 @@ class RelaxLLM:
             self.exe, self.device, concrete=False,
             enable_cuda_graph=self.enable_cuda_graph,
         )
-        if fn == "decode":
-            args = [NDArray.abstract((batch, 1), "i64")]
-            args += self._caches(batch, context)
-        elif fn == "prefill":
-            args = [NDArray.abstract((batch, seq), "i64")]
-            args += self._caches(batch, context)
-        else:
+        if fn not in ("decode", "prefill"):
             raise ValueError(f"unknown function {fn!r}")
-        args += self.params
+        args = self._step_args(batch, 1 if fn == "decode" else seq, context)
         for _ in range(max(warmup, 0)):
             pvm.run(fn, *args)
         pvm.reset()
@@ -215,11 +214,11 @@ class RelaxLLM:
 class RelaxSpecPair:
     """A compiled (target, draft) model pair for speculative serving.
 
-    The pair shares **one** compile-cache entry: a benchmark sweeping
-    acceptance rates or request rates re-instantiates the serving engine
-    per point, and keying the cache on the pair means the second engine
-    (and every one after) costs zero compilation for *both* models —
-    hit/miss accounting sees one pair entry, not two stray singles.
+    Two :class:`RelaxLLM` runners, each keyed in the compile cache on its
+    own: a benchmark sweeping acceptance rates or request rates
+    re-instantiates the serving engine per point and compiles neither
+    model again, and a target a vanilla engine already compiled is
+    reused as is.
 
     The draft defaults to :func:`repro.models.draft_config` applied to
     the target (same vocabulary and context length — token streams and
@@ -233,14 +232,9 @@ class RelaxSpecPair:
         draft_cfg: Optional[LlamaConfig],
         device: Device,
         *,
-        sym_var_upper_bounds: Optional[Dict[str, int]] = None,
-        draft_upper_bounds: Optional[Dict[str, int]] = None,
-        enable_library_dispatch: bool = True,
-        enable_cuda_graph: bool = True,
-        page_size: Optional[int] = None,
-        use_compile_cache: bool = True,
         tp: int = 1,
         interconnect=None,
+        **llm_kwargs,
     ):
         from ..models.llama import draft_config
 
@@ -251,50 +245,11 @@ class RelaxSpecPair:
                 "draft and target must share a vocabulary "
                 f"({draft_cfg.vocab_size} != {cfg.vocab_size})"
             )
-        flags = {
-            "enable_library_dispatch": enable_library_dispatch,
-            "enable_cuda_graph": enable_cuda_graph,
-        }
-        tb = sym_var_upper_bounds or {}
-        db = draft_upper_bounds or dict(tb)
-        key = (
-            "llama-spec-pair",
-            _cache_key(cfg, device, tb, flags, page_size, tp=tp),
-            _cache_key(draft_cfg, device, db, flags, page_size),
-        )
-        target_pre = draft_pre = None
-        if use_compile_cache and key in _COMPILE_CACHE:
-            _COMPILE_CACHE_STATS["hits"] += 1
-            target_pre, draft_pre = _COMPILE_CACHE[key]
-        self.target = RelaxLLM(
-            cfg, device,
-            sym_var_upper_bounds=sym_var_upper_bounds,
-            enable_library_dispatch=enable_library_dispatch,
-            enable_cuda_graph=enable_cuda_graph,
-            page_size=page_size,
-            use_compile_cache=False,
-            tp=tp,
-            interconnect=interconnect,
-            _precompiled=target_pre,
-        )
+        self.target = RelaxLLM(cfg, device, tp=tp, interconnect=interconnect,
+                               **llm_kwargs)
         # The draft stays unsharded: it is already a fraction of the
         # target's width, so splitting it buys nothing but collectives.
-        self.draft = RelaxLLM(
-            draft_cfg, device,
-            sym_var_upper_bounds=draft_upper_bounds or sym_var_upper_bounds,
-            enable_library_dispatch=enable_library_dispatch,
-            enable_cuda_graph=enable_cuda_graph,
-            page_size=page_size,
-            use_compile_cache=False,
-            _precompiled=draft_pre,
-        )
-        if target_pre is None and use_compile_cache:
-            _COMPILE_CACHE[key] = (
-                (self.target.exe, self.target.compile_report,
-                 self.target.enable_cuda_graph),
-                (self.draft.exe, self.draft.compile_report,
-                 self.draft.enable_cuda_graph),
-            )
+        self.draft = RelaxLLM(draft_cfg, device, **llm_kwargs)
 
     @property
     def cfg(self) -> LlamaConfig:
@@ -322,8 +277,7 @@ class RelaxWhisper:
                  page_size: Optional[int] = None,
                  enable_library_dispatch: bool = True,
                  enable_fusion: bool = True,
-                 enable_memory_planning: bool = True,
-                 use_compile_cache: bool = True):
+                 enable_memory_planning: bool = True):
         from ..models.whisper import build_whisper
 
         self.cfg = cfg
@@ -345,32 +299,16 @@ class RelaxWhisper:
             "enable_fusion": enable_fusion,
             "enable_memory_planning": enable_memory_planning,
         }
-        key = _cache_key(cfg, device, bounds, flags, page_size,
-                         family="whisper")
-        if use_compile_cache and key in _COMPILE_CACHE:
-            _COMPILE_CACHE_STATS["hits"] += 1
-            self.exe, self.compile_report = _COMPILE_CACHE[key]
-        else:
-            _COMPILE_CACHE_STATS["misses"] += 1
-            ctx = PassContext(
-                device=device,
-                sym_var_upper_bounds=dict(bounds),
-                instruments=[Timing(), IRStats()],
-                **flags,
-            )
-            self.exe = transform.build(self.exported.mod, ctx=ctx)
-            self.compile_report = ctx.report
-            if use_compile_cache:
-                _COMPILE_CACHE[key] = (self.exe, self.compile_report)
+        self.exe, self.compile_report, _ = _compile(
+            _cache_key(cfg, device, bounds, flags, page_size,
+                       family="whisper"),
+            self.exported.mod, device, bounds, flags)
         self.vm = VirtualMachine(self.exe, device, concrete=False)
         self.params = self.exported.abstract_params()
 
     def encode_time(self, batch: int, frames: int) -> float:
         mel = NDArray.abstract((batch, frames, self.cfg.n_mel), self.cfg.dtype)
-        self.vm.run("encode", mel, *self.params)  # warm (capture)
-        self.vm.reset_stats()
-        self.vm.run("encode", mel, *self.params)
-        return self.vm.stats.time_s
+        return _steady_time(self.vm, "encode", mel, *self.params)
 
     def decode_step_time(self, batch: int, past: int, enc_len: int) -> float:
         cfg = self.cfg
@@ -383,11 +321,8 @@ class RelaxWhisper:
             NDArray.abstract((batch, enc_len, cfg.num_heads, cfg.head_dim), cfg.dtype)
             for _ in range(2 * cfg.decoder_layers)
         ]
-        args = [tokens] + self_caches + cross + self.params
-        self.vm.run("decode", *args)  # warm
-        self.vm.reset_stats()
-        self.vm.run("decode", *args)
-        return self.vm.stats.time_s
+        return _steady_time(self.vm, "decode", tokens, *self_caches, *cross,
+                            *self.params)
 
     def transcribe_time(self, frames: int, n_tokens: int, batch: int = 1) -> float:
         """Encode once + ``n_tokens`` decode steps (trapezoid over cache
@@ -404,29 +339,16 @@ class RelaxDenoise:
     """Compiled iterative-denoise model on the analytical device model."""
 
     def __init__(self, cfg, device: Device,
-                 sym_var_upper_bounds: Optional[Dict[str, int]] = None,
-                 *, use_compile_cache: bool = True):
+                 sym_var_upper_bounds: Optional[Dict[str, int]] = None):
         from ..models.denoise import build_denoise
 
         self.cfg = cfg
         self.device = device
         self.exported = build_denoise(cfg)
         bounds = sym_var_upper_bounds or {"b": 64, "n": cfg.latent_tokens}
-        key = _cache_key(cfg, device, bounds, {}, None, family="denoise")
-        if use_compile_cache and key in _COMPILE_CACHE:
-            _COMPILE_CACHE_STATS["hits"] += 1
-            self.exe, self.compile_report = _COMPILE_CACHE[key]
-        else:
-            _COMPILE_CACHE_STATS["misses"] += 1
-            ctx = PassContext(
-                device=device,
-                sym_var_upper_bounds=dict(bounds),
-                instruments=[Timing(), IRStats()],
-            )
-            self.exe = transform.build(self.exported.mod, ctx=ctx)
-            self.compile_report = ctx.report
-            if use_compile_cache:
-                _COMPILE_CACHE[key] = (self.exe, self.compile_report)
+        self.exe, self.compile_report, _ = _compile(
+            _cache_key(cfg, device, bounds, {}, None, family="denoise"),
+            self.exported.mod, device, bounds, {})
         self.vm = VirtualMachine(self.exe, device, concrete=False)
         self.params = self.exported.abstract_params()
 
@@ -436,10 +358,7 @@ class RelaxDenoise:
             (batch, self.cfg.latent_tokens, self.cfg.latent_dim),
             self.cfg.dtype,
         )
-        self.vm.run("denoise_step", latent, *self.params)  # warm
-        self.vm.reset_stats()
-        self.vm.run("denoise_step", latent, *self.params)
-        return self.vm.stats.time_s
+        return _steady_time(self.vm, "denoise_step", latent, *self.params)
 
 
 class RelaxLlava:
@@ -470,33 +389,28 @@ class RelaxLlava:
             for _ in range(2 * llm.num_layers)
         ]
 
-    def _timed(self, fn: str, *args) -> float:
-        self.vm.run(fn, *args)  # warm
-        self.vm.reset_stats()
-        self.vm.run(fn, *args)
-        return self.vm.stats.time_s
-
     def generation_time(self, n_tokens: int = 32, batch: int = 1) -> float:
         """Image encode + image prefill + ``n_tokens`` decode steps."""
         vis = self.cfg.vision
         patches = NDArray.abstract((batch, vis.num_patches, vis.patch_dim),
                                    vis.dtype)
-        total = self._timed("encode_image", patches, *self.params)
+        total = _steady_time(self.vm, "encode_image", patches, *self.params)
 
         embeds = NDArray.abstract(
             (batch, vis.num_patches, self.cfg.llm.hidden_size), self.cfg.llm.dtype
         )
-        total += self._timed(
-            "prefill_embeds", embeds, *self._llm_caches(batch, 0), *self.params
+        total += _steady_time(
+            self.vm, "prefill_embeds", embeds, *self._llm_caches(batch, 0),
+            *self.params,
         )
 
         tokens = NDArray.abstract((batch, 1), "i64")
-        first = self._timed(
-            "decode", tokens, *self._llm_caches(batch, vis.num_patches),
-            *self.params,
+        first = _steady_time(
+            self.vm, "decode", tokens,
+            *self._llm_caches(batch, vis.num_patches), *self.params,
         )
-        last = self._timed(
-            "decode", tokens,
+        last = _steady_time(
+            self.vm, "decode", tokens,
             *self._llm_caches(batch, vis.num_patches + n_tokens), *self.params,
         )
         total += n_tokens * (first + last) / 2.0

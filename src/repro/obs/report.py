@@ -312,13 +312,19 @@ def validate_chrome_trace(trace: Dict[str, Any]) -> Dict[str, Any]:
     return trace
 
 
-def export_chrome_trace(events: Sequence[TraceEvent], path: str,
-                        process_name: str = "repro-vm") -> Dict[str, Any]:
-    """Validate and write the Chrome trace JSON for ``events`` to ``path``."""
-    trace = validate_chrome_trace(chrome_trace(events, process_name))
+def write_chrome_trace(trace: Dict[str, Any], path: str) -> Dict[str, Any]:
+    """Validate ``trace`` and write it to ``path``; returns the trace.
+    Every Chrome-trace file this package writes goes through here."""
+    validate_chrome_trace(trace)
     with open(path, "w") as f:
         json.dump(trace, f)
     return trace
+
+
+def export_chrome_trace(events: Sequence[TraceEvent], path: str,
+                        process_name: str = "repro-vm") -> Dict[str, Any]:
+    """Validate and write the Chrome trace JSON for ``events`` to ``path``."""
+    return write_chrome_trace(chrome_trace(events, process_name), path)
 
 
 # -- the profiler VM --------------------------------------------------------------

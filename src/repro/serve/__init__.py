@@ -33,6 +33,7 @@ from .program import (
     ChunkedPhase,
     DenoiseProgram,
     LLMProgram,
+    PROGRAMS,
     RequestProgram,
     SteppedPhase,
     WhisperProgram,
@@ -40,11 +41,13 @@ from .program import (
     stream_seq_id,
 )
 from .scheduler import (
+    Chunk,
     ContinuousBatchingScheduler,
     Iteration,
     Phase,
     RequestState,
     SchedulerConfig,
+    Step,
 )
 from .slo import SLOConfig, SLOMonitor
 from .spec import SpecConfig, TokenOracle
@@ -67,6 +70,7 @@ from .workload import (
 __all__ = [
     "BlockAllocator",
     "CacheError",
+    "Chunk",
     "ChunkedPhase",
     "ClusterConfig",
     "ClusterEngine",
@@ -90,6 +94,7 @@ __all__ = [
     "MetricsRegistry",
     "LLMProgram",
     "OutOfBlocks",
+    "PROGRAMS",
     "PagedKVCache",
     "Phase",
     "PrefixCache",
@@ -105,6 +110,7 @@ __all__ = [
     "ServeReport",
     "ServingEngine",
     "SpecConfig",
+    "Step",
     "SteppedPhase",
     "TelemetryConfig",
     "TokenOracle",

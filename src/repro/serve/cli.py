@@ -263,53 +263,117 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             capture_kernels=bool(args.trace),
         )
 
+    requests = generate(workload)
     if args.dp > 1:
-        return _run_cluster(
-            args, cfg, device, engine_config, workload, route_policy,
+        from .cluster import ClusterConfig, ClusterEngine
+
+        server = ClusterEngine(
+            cfg, device,
+            ClusterConfig(dp=args.dp, policy=route_policy,
+                          engine=engine_config),
+            enable_cuda_graph=not args.no_cuda_graph,
         )
+        engines = server.engines
+        title = (f"repro.serve cluster: {cfg.name} x{args.dp} on "
+                 f"{device.name} (seed {args.seed}, {args.requests} "
+                 f"requests, route={route_policy})")
+    else:
+        server = ServingEngine(
+            cfg, device, engine_config,
+            whisper_config=whisper_config,
+            denoise_config=denoise_config,
+            enable_cuda_graph=not args.no_cuda_graph,
+        )
+        engines = [server]
+        title = (f"repro.serve: {cfg.name} on {device.name} "
+                 f"(seed {args.seed}, {args.requests} requests)")
+    report = server.run(requests)
+    print(f"== {title} ==")
+    _print_summary(report)
+    _print_replay_plans(engines)
 
-    engine = ServingEngine(
-        cfg, device, engine_config,
-        whisper_config=whisper_config,
-        denoise_config=denoise_config,
-        enable_cuda_graph=not args.no_cuda_graph,
+    def text(make):
+        def write(path):
+            with open(path, "w") as f:
+                f.write(make())
+        return write
+
+    outputs = (
+        ("workload  ->", args.workload_out, "",
+         text(lambda: workload_to_json(workload, requests))),
+        ("metrics   ->", args.out, "",
+         text(lambda: json.dumps(report.to_dict(), indent=2))),
+        ("perfetto  ->", args.trace, "  (open at https://ui.perfetto.dev)",
+         report.export_chrome_trace),
+        ("telemetry ->", args.telemetry, "",
+         text(lambda: json.dumps(report.telemetry.to_dict(), indent=2,
+                                 sort_keys=True))),
+        ("prometheus->", args.prometheus, "",
+         text(lambda: report.telemetry.to_prometheus())),
     )
-    report = engine.run(generate(workload))
-    s = report.summary
+    for label, path, note, write in outputs:
+        if path:
+            if os.path.dirname(path):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+            write(path)
+            print(f"{label} {path}{note}")
+    return 0
 
-    print(f"== repro.serve: {cfg.name} on {device.name} "
-          f"(seed {args.seed}, {args.requests} requests) ==")
+
+def _ms(v) -> str:
+    return f"{v * 1e3:8.2f} ms" if v is not None else "       - ms"
+
+
+def _pct(v) -> str:
+    return f"{v * 100:.0f}%" if v is not None else "-"
+
+
+def _anomalies(counts) -> str:
+    if not counts:
+        return "none"
+    return ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+
+
+def _print_summary(report) -> None:
+    """Print an engine report or a fleet report: the shared head, then
+    one section per key the summary carries."""
+    s = report.summary
+    fleet = "routing" in s
     print(f"finished          {s['num_finished']}/{s['num_requests']} "
-          f"in {s['makespan_s']:.3f} simulated s "
-          f"({len(report.iterations)} iterations)")
+          f"in {s['makespan_s']:.3f} simulated s"
+          + ("" if fleet else f" ({len(report.iterations)} iterations)"))
     print(f"throughput        {s['throughput_tokens_per_s']:.1f} tok/s, "
           f"{s['throughput_requests_per_s']:.2f} req/s")
     print(f"goodput           {s['goodput_requests_per_s']:.2f} req/s "
           f"({s['slo']['fraction'] * 100:.0f}% within "
           f"TTFT<={s['slo']['ttft_s']}s, TPOT<={s['slo']['tpot_s']}s)")
-    def _ms(v):
-        return f"{v * 1e3:8.2f} ms" if v is not None else "       - ms"
-
     for metric in ("ttft_s", "tpot_s", "itl_s"):
         row = s[metric]
         print(f"{metric:<17} p50 {_ms(row['p50'])}   "
               f"p90 {_ms(row['p90'])}   "
               f"p99 {_ms(row['p99'])}")
-    pool = s["kv_pool"]
-    print(f"kv pool           {pool['num_blocks']} blocks x "
-          f"{pool['page_size']} tokens, peak util "
-          f"{pool['peak_utilization'] * 100:.0f}% "
-          f"(raw {pool['peak_raw_utilization'] * 100:.0f}%), "
-          f"cow copies {pool['cow_copies']}, "
-          f"leaked {pool['leaked_blocks']}")
+    if "kv_pool" in s:
+        pool = s["kv_pool"]
+        print(f"kv pool           {pool['num_blocks']} blocks x "
+              f"{pool['page_size']} tokens, peak util "
+              f"{pool['peak_utilization'] * 100:.0f}% "
+              f"(raw {pool['peak_raw_utilization'] * 100:.0f}%), "
+              f"cow copies {pool['cow_copies']}, "
+              f"leaked {pool['leaked_blocks']}")
+    if fleet:
+        routing = s["routing"]
+        print(f"routing           {routing['assignments']} requests/replica, "
+              f"balance entropy {routing['load_balance_entropy']:.3f}")
     if "prefix_cache" in s:
         pc = s["prefix_cache"]
-        print(f"prefix cache      hit rate {pc['hit_rate'] * 100:.0f}% "
+        print(f"prefix cache      {'fleet ' if fleet else ''}hit rate "
+              f"{pc['hit_rate'] * 100:.0f}% "
               f"({pc['hits']}/{pc['lookups']} lookups), "
               f"cached tokens {pc['matched_tokens']}/"
               f"{pc['requested_tokens']} "
-              f"({pc['cached_token_fraction'] * 100:.0f}%), "
-              f"evictions {pc['evictions']}")
+              f"({pc['cached_token_fraction'] * 100:.0f}%)"
+              + (f", evictions {pc['evictions']}"
+                 if "evictions" in pc else ""))
     if "spec_decode" in s:
         sd = s["spec_decode"]
         rate = sd["acceptance_rate"]
@@ -323,58 +387,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"                  per-position acceptance "
                   f"{per_pos * 100:.0f}% "
                   f"(configured quality {sd['draft_quality'] * 100:.0f}%)")
-    print(f"preemptions       {s['preemptions']} "
-          f"(swap time {s['swap_time_s'] * 1e3:.2f} ms)")
-    if report.telemetry is not None:
+    if "swap_time_s" in s:
+        print(f"preemptions       {s['preemptions']} "
+              f"(swap time {s['swap_time_s'] * 1e3:.2f} ms)")
+    if "telemetry" in s:
         tl = s["telemetry"]
-        counts = tl["anomaly_counts"]
-        anomalies = (
-            ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            if counts else "none"
-        )
-        def _pct(v):
-            return f"{v * 100:.0f}%" if v is not None else "-"
-
         print(f"telemetry         {tl['num_metrics']} metrics, "
               f"{tl['num_spans']} spans; window attainment "
               f"ttft {_pct(tl['window_ttft_attainment'])} / "
               f"tpot {_pct(tl['window_tpot_attainment'])}; "
-              f"anomalies: {anomalies}")
-    if "per_type" in s:
-        for kind, row in s["per_type"].items():
-            print(f"[{kind}]".ljust(18)
-                  + f"{row['num_finished']}/{row['num_requests']} finished, "
-                  f"ttft p50 {_ms(row['ttft_s']['p50'])}, "
-                  f"step p50 {_ms(row['tpot_s']['p50'])}, "
-                  f"p99 {_ms(row['tpot_s']['p99'])}")
-    _print_replay_plans([engine])
-
-    for path in (args.workload_out, args.out, args.trace,
-                 args.telemetry, args.prometheus):
-        if path and os.path.dirname(path):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-    if args.workload_out:
-        with open(args.workload_out, "w") as f:
-            f.write(workload_to_json(workload, generate(workload)))
-        print(f"workload  -> {args.workload_out}")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_dict(), f, indent=2)
-        print(f"metrics   -> {args.out}")
-    if args.trace:
-        report.export_chrome_trace(args.trace)
-        print(f"perfetto  -> {args.trace}  "
-              f"(open at https://ui.perfetto.dev)")
-    if args.telemetry:
-        with open(args.telemetry, "w") as f:
-            json.dump(report.telemetry.to_dict(), f, indent=2,
-                      sort_keys=True)
-        print(f"telemetry -> {args.telemetry}")
-    if args.prometheus:
-        with open(args.prometheus, "w") as f:
-            f.write(report.telemetry.to_prometheus())
-        print(f"prometheus-> {args.prometheus}")
-    return 0
+              f"anomalies: {_anomalies(tl['anomaly_counts'])}")
+    if "fleet_slo" in s:
+        fleet_slo = s["fleet_slo"]
+        print(f"fleet slo         {fleet_slo['violations']} violations / "
+              f"{fleet_slo['finished']} finished; "
+              f"anomalies: {_anomalies(fleet_slo['anomaly_counts'])}")
+    for kind, row in s.get("per_type", {}).items():
+        print(f"[{kind}]".ljust(18)
+              + f"{row['num_finished']}/{row['num_requests']} finished, "
+              f"ttft p50 {_ms(row['ttft_s']['p50'])}, "
+              f"step p50 {_ms(row['tpot_s']['p50'])}, "
+              f"p99 {_ms(row['tpot_s']['p99'])}")
+    for row in s.get("per_replica", ()):
+        ttft = row["ttft_mean_s"]
+        ttft_txt = f"{ttft * 1e3:.2f} ms" if ttft is not None else "-"
+        line = (f"[replica {row['replica']}]".ljust(18)
+                + f"{row['num_requests']} reqs, "
+                f"makespan {row['makespan_s']:.3f}s, "
+                f"ttft mean {ttft_txt}, "
+                f"kv peak {row['kv_peak_utilization'] * 100:.0f}%")
+        if "prefix_cache_hit_rate" in row:
+            line += f", cache hits {row['prefix_cache_hit_rate'] * 100:.0f}%"
+        print(line)
 
 
 def _print_replay_plans(engines) -> None:
@@ -386,83 +430,3 @@ def _print_replay_plans(engines) -> None:
     print(f"replay plans      {hits}/{calls} VM calls replayed "
           f"({hits / max(calls, 1) * 100:.0f}%), {plans} plans, "
           f"{interpreted} interpreted")
-
-
-def _run_cluster(args, cfg, device, engine_config, workload,
-                 policy: str) -> int:
-    from .cluster import ClusterConfig, ClusterEngine
-
-    cluster = ClusterEngine(
-        cfg, device,
-        ClusterConfig(dp=args.dp, policy=policy, engine=engine_config),
-        enable_cuda_graph=not args.no_cuda_graph,
-    )
-    requests = generate(workload)
-    report = cluster.run(requests)
-    s = report.summary
-
-    print(f"== repro.serve cluster: {cfg.name} x{args.dp} on {device.name} "
-          f"(seed {args.seed}, {args.requests} requests, "
-          f"route={policy}) ==")
-    print(f"finished          {s['num_finished']}/{s['num_requests']} "
-          f"in {s['makespan_s']:.3f} simulated s")
-    print(f"throughput        {s['throughput_tokens_per_s']:.1f} tok/s, "
-          f"{s['throughput_requests_per_s']:.2f} req/s")
-    print(f"goodput           {s['goodput_requests_per_s']:.2f} req/s "
-          f"({s['slo']['fraction'] * 100:.0f}% within "
-          f"TTFT<={s['slo']['ttft_s']}s, TPOT<={s['slo']['tpot_s']}s)")
-
-    def _ms(v):
-        return f"{v * 1e3:8.2f} ms" if v is not None else "       - ms"
-
-    for metric in ("ttft_s", "tpot_s", "itl_s"):
-        row = s[metric]
-        print(f"{metric:<17} p50 {_ms(row['p50'])}   "
-              f"p90 {_ms(row['p90'])}   "
-              f"p99 {_ms(row['p99'])}")
-    routing = s["routing"]
-    print(f"routing           {routing['assignments']} requests/replica, "
-          f"balance entropy {routing['load_balance_entropy']:.3f}")
-    if "prefix_cache" in s:
-        pc = s["prefix_cache"]
-        print(f"prefix cache      fleet hit rate {pc['hit_rate'] * 100:.0f}% "
-              f"({pc['hits']}/{pc['lookups']} lookups), cached tokens "
-              f"{pc['matched_tokens']}/{pc['requested_tokens']} "
-              f"({pc['cached_token_fraction'] * 100:.0f}%)")
-    fleet_slo = s["fleet_slo"]
-    counts = fleet_slo["anomaly_counts"]
-    anomalies = (
-        ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        if counts else "none"
-    )
-    print(f"fleet slo         {fleet_slo['violations']} violations / "
-          f"{fleet_slo['finished']} finished; anomalies: {anomalies}")
-    for row in s["per_replica"]:
-        ttft = row["ttft_mean_s"]
-        ttft_txt = f"{ttft * 1e3:.2f} ms" if ttft is not None else "-"
-        line = (f"[replica {row['replica']}]".ljust(18)
-                + f"{row['num_requests']} reqs, "
-                f"makespan {row['makespan_s']:.3f}s, "
-                f"ttft mean {ttft_txt}, "
-                f"kv peak {row['kv_peak_utilization'] * 100:.0f}%")
-        if "prefix_cache_hit_rate" in row:
-            line += f", cache hits {row['prefix_cache_hit_rate'] * 100:.0f}%"
-        print(line)
-    _print_replay_plans(cluster.engines)
-
-    for path in (args.workload_out, args.out, args.trace):
-        if path and os.path.dirname(path):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-    if args.workload_out:
-        with open(args.workload_out, "w") as f:
-            f.write(workload_to_json(workload, requests))
-        print(f"workload  -> {args.workload_out}")
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report.to_dict(), f, indent=2)
-        print(f"metrics   -> {args.out}")
-    if args.trace:
-        report.export_chrome_trace(args.trace)
-        print(f"perfetto  -> {args.trace}  "
-              f"(open at https://ui.perfetto.dev)")
-    return 0

@@ -1,7 +1,7 @@
 """Data-parallel serving: a router over replicated engines.
 
 The "millions of users" layer: N independent continuous-batching
-engines (each optionally tensor-parallel, ``tp`` VMs in lockstep) serve
+engines (each optionally tensor-parallel, ``engine.tp`` VMs in lockstep) serve
 one arrival stream behind a router.  The :class:`ClusterEngine` owns
 the *shared* analytical timeline the way :class:`~repro.dist.MeshExecutor`
 owns the mesh clock — generalized to replicas with **independent**
@@ -31,7 +31,7 @@ A dp=1 cluster degenerates to the plain engine: the single replica's
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..models.llama import LlamaConfig
@@ -164,18 +164,13 @@ def make_policy(name: str) -> RoutingPolicy:
 
 @dataclass
 class ClusterConfig:
-    """A dp×tp serving cluster: ``dp`` engine replicas, each ``tp``-way
-    tensor-parallel, behind one router."""
+    """A dp×tp serving cluster: ``dp`` engine replicas, each
+    ``engine.tp``-way tensor-parallel, behind one router."""
 
     dp: int = 1
     policy: str = "round_robin"
-    #: Per-replica engine configuration (shared template).  Its ``tp`` /
-    #: ``interconnect`` are overridden by the fields below when set.
+    #: Per-replica engine configuration, shared by every replica.
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Tensor-parallel width per replica; ``None`` keeps ``engine.tp``.
-    tp: Optional[int] = None
-    #: Mesh link model per replica; ``None`` keeps ``engine.interconnect``.
-    interconnect: Optional[Any] = None
     #: Fleet SLO monitor windows (anomalies over the merged finish stream).
     slo: SLOConfig = field(default_factory=SLOConfig)
 
@@ -187,19 +182,6 @@ class ClusterConfig:
                 f"unknown routing policy {self.policy!r}; "
                 f"choose from {sorted(ROUTING_POLICIES)}"
             )
-
-    def replica_engine_config(self) -> EngineConfig:
-        econf = self.engine
-        if self.tp is not None or self.interconnect is not None:
-            econf = replace(
-                econf,
-                tp=self.tp if self.tp is not None else econf.tp,
-                interconnect=(
-                    self.interconnect if self.interconnect is not None
-                    else econf.interconnect
-                ),
-            )
-        return econf
 
 
 # -- the cluster -----------------------------------------------------------------
@@ -228,11 +210,10 @@ class ClusterEngine:
         self.cfg = cfg
         self.device = device
         self.cconfig = cluster_config or ClusterConfig()
-        econf = self.cconfig.replica_engine_config()
         # The compile cache keys on (config, device, flags): replica 0
         # compiles, replicas 1..N-1 reuse the executable.
         self.engines: List[ServingEngine] = [
-            ServingEngine(cfg, device, econf, **engine_kwargs)
+            ServingEngine(cfg, device, self.cconfig.engine, **engine_kwargs)
             for _ in range(self.cconfig.dp)
         ]
         self.policy = make_policy(self.cconfig.policy)
@@ -245,7 +226,39 @@ class ClusterEngine:
         return self.cconfig.dp
 
     def run(self, requests: Sequence[Request]) -> "ClusterReport":
-        """Serve the trace across the fleet; returns the merged report."""
+        """Serve the trace across the fleet; returns the merged report.
+        Like ``ServingEngine.run``, always starts fresh: whatever an
+        earlier (failed) run left on a replica is dropped first."""
+        engines = self.engines
+        for e in engines:
+            e.reset()
+        try:
+            assignments = self._route_and_drain(requests)
+        except BaseException:
+            for e in engines:
+                e.reset()
+            raise
+        reports = []
+        for e in engines:
+            if e.active_run is None:
+                # A replica the policy never picked still reports (an
+                # empty run): fleet aggregation sees every replica.
+                e.submit([])
+            reports.append(e.report())
+        return ClusterReport.build(
+            device=self.device.name,
+            model=self.cfg.name,
+            policy=self.policy.name,
+            replica_reports=reports,
+            assignments=assignments,
+            slo_config=self.cconfig.slo,
+            slo_ttft_s=self.cconfig.engine.slo_ttft_s,
+            slo_tpot_s=self.cconfig.engine.slo_tpot_s,
+        )
+
+    def _route_and_drain(self, requests: Sequence[Request]
+                         ) -> List[Tuple[int, int]]:
+        """The event loop; returns ``(req_id, replica)`` in routing order."""
         unrouted = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
         assignments: List[Tuple[int, int]] = []  # (req_id, replica)
         engines = self.engines
@@ -270,23 +283,7 @@ class ClusterEngine:
             # Advance the lagging replica (lowest clock, ties by index).
             idx = min(busy, key=lambda i: (engines[i].clock, i))
             engines[idx].step()
-        reports = []
-        for e in engines:
-            if e.active_run is None:
-                # A replica the policy never picked still reports (an
-                # empty run): fleet aggregation sees every replica.
-                e.submit([])
-            reports.append(e.report())
-        return ClusterReport.build(
-            device=self.device.name,
-            model=self.cfg.name,
-            policy=self.policy.name,
-            replica_reports=reports,
-            assignments=assignments,
-            slo_config=self.cconfig.slo,
-            slo_ttft_s=self.cconfig.replica_engine_config().slo_ttft_s,
-            slo_tpot_s=self.cconfig.replica_engine_config().slo_tpot_s,
-        )
+        return assignments
 
 
 def _load_balance_entropy(counts: Sequence[int]) -> float:
@@ -377,33 +374,23 @@ class ClusterReport:
                 )
             per_replica.append(row)
         summary["per_replica"] = per_replica
-        if any("prefix_cache" in rep.summary for rep in replica_reports):
+        caches = [rep.summary["prefix_cache"] for rep in replica_reports
+                  if "prefix_cache" in rep.summary]
+        if caches:
             # Fleet cache effectiveness: counters sum across replicas,
             # rates recompute from the sums.
-            lookups = sum(
-                rep.summary["prefix_cache"]["lookups"]
-                for rep in replica_reports if "prefix_cache" in rep.summary
-            )
-            hits = sum(
-                rep.summary["prefix_cache"]["hits"]
-                for rep in replica_reports if "prefix_cache" in rep.summary
-            )
-            req_tokens = sum(
-                rep.summary["prefix_cache"]["requested_tokens"]
-                for rep in replica_reports if "prefix_cache" in rep.summary
-            )
-            matched = sum(
-                rep.summary["prefix_cache"]["matched_tokens"]
-                for rep in replica_reports if "prefix_cache" in rep.summary
-            )
+            fleet = {key: sum(c[key] for c in caches) for key in (
+                "lookups", "hits", "requested_tokens", "matched_tokens")}
             summary["prefix_cache"] = {
-                "lookups": lookups,
-                "hits": hits,
-                "hit_rate": hits / lookups if lookups else 0.0,
-                "requested_tokens": req_tokens,
-                "matched_tokens": matched,
+                "lookups": fleet["lookups"],
+                "hits": fleet["hits"],
+                "hit_rate": (fleet["hits"] / fleet["lookups"]
+                             if fleet["lookups"] else 0.0),
+                "requested_tokens": fleet["requested_tokens"],
+                "matched_tokens": fleet["matched_tokens"],
                 "cached_token_fraction": (
-                    matched / req_tokens if req_tokens else 0.0
+                    fleet["matched_tokens"] / fleet["requested_tokens"]
+                    if fleet["requested_tokens"] else 0.0
                 ),
             }
         # Fleet SLO monitor: the merged finish stream in event order
@@ -453,12 +440,9 @@ class ClusterReport:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def export_chrome_trace(self, path: str) -> Dict[str, Any]:
-        from ..obs.report import validate_chrome_trace
+        from ..obs.report import write_chrome_trace
 
-        trace = validate_chrome_trace(self.chrome_trace())
-        with open(path, "w") as f:
-            json.dump(trace, f)
-        return trace
+        return write_chrome_trace(self.chrome_trace(), path)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

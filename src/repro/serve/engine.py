@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..models.llama import LlamaConfig, build_llama
+from ..models.llama import LlamaConfig
 from ..runtime import NDArray, PlanCacheInfo, VirtualMachine
 from ..runtime.device import Device
 from ..runtime.profiler import ExecutionStats
 from .kv_cache import CacheError, PagedKVCache
 from .metrics import RequestMetrics, summarize
 from .prefix_cache import PrefixCache
-from .program import program_for
+from .program import PROGRAMS, program_for
 from .spec import SpecConfig, TokenOracle
 from .telemetry import EngineTelemetry, TelemetryConfig
 from .scheduler import (
@@ -67,7 +67,7 @@ class _RunState:
 
     def __init__(self, *, kv: PagedKVCache, cache: Optional[PrefixCache],
                  sched: ContinuousBatchingScheduler, oracle: TokenOracle,
-                 tel: Optional[EngineTelemetry], denoise_budget: int,
+                 tel: Optional[EngineTelemetry],
                  token_bytes: int, ctl_cap: int,
                  stats_start: List[ExecutionStats]):
         self.kv = kv
@@ -75,7 +75,6 @@ class _RunState:
         self.sched = sched
         self.oracle = oracle
         self.tel = tel
-        self.denoise_budget = denoise_budget
         self.token_bytes = token_bytes
         self.stats_start = stats_start
         #: Submitted requests in submission order (report order).
@@ -158,106 +157,79 @@ class ServingEngine:
         self.device = device
         self.econfig = engine_config or EngineConfig()
         page = self.econfig.page_size
-        bounds = {
-            "b": 64,
-            "s": cfg.context_length,
-            "m": cfg.context_length,
-            "w": -(-cfg.context_length // page),
-        }
         self.spec = self.econfig.spec
         self.tp = self.econfig.tp
+        llm_kwargs = dict(
+            sym_var_upper_bounds={
+                "b": 64,
+                "s": cfg.context_length,
+                "m": cfg.context_length,
+                "w": -(-cfg.context_length // page),
+            },
+            enable_library_dispatch=enable_library_dispatch,
+            enable_cuda_graph=enable_cuda_graph,
+            page_size=page,
+            tp=self.tp,
+            interconnect=self.econfig.interconnect,
+        )
         self.draft = None
         if self.spec is not None:
-            # Paired compilation: target and draft share one compile-cache
-            # entry, so rate/acceptance sweeps compile the pair once.
-            pair = RelaxSpecPair(
-                cfg, self.spec.draft, device,
-                sym_var_upper_bounds=bounds,
-                enable_library_dispatch=enable_library_dispatch,
-                enable_cuda_graph=enable_cuda_graph,
-                page_size=page,
-                tp=self.tp,
-                interconnect=self.econfig.interconnect,
-            )
-            self.llm = pair.target
-            self.draft = pair.draft
+            pair = RelaxSpecPair(cfg, self.spec.draft, device, **llm_kwargs)
+            self.llm, self.draft = pair.target, pair.draft
         else:
-            self.llm = RelaxLLM(
-                cfg, device,
-                sym_var_upper_bounds=bounds,
-                enable_library_dispatch=enable_library_dispatch,
-                enable_cuda_graph=enable_cuda_graph,
-                page_size=page,
-                tp=self.tp,
-                interconnect=self.econfig.interconnect,
-            )
+            self.llm = RelaxLLM(cfg, device, **llm_kwargs)
         self.vm: VirtualMachine = self.llm.vm
-        self.params = self.llm.params
         self.num_blocks = self._pool_blocks()
-        # The device-side pool, one (p, page, h_kv, d) pair per layer.
-        # Abstract mode: shape-only arrays, allocated once per engine.
-        # Under tensor parallelism every shard owns its own pool slice:
-        # same block-id space, ``h_kv / tp`` heads per page.
-        self.pools: List[NDArray] = []
-        kv_local = cfg.num_kv_heads // self.tp
-        for _ in range(cfg.num_layers):
-            shape = (self.num_blocks, page, kv_local, cfg.head_dim)
-            self.pools.append(NDArray.abstract(shape, cfg.dtype))
-            self.pools.append(NDArray.abstract(shape, cfg.dtype))
-        # Draft pools mirror the target's block-id space: both models are
-        # indexed through the *same* block tables (one allocator), so the
-        # draft pool is sized to the same num_blocks.
-        self.draft_pools: List[NDArray] = []
+        #: The model table: name -> (compiled runner, its device-side KV
+        #: pools).  A name is a request kind (``program.PROGRAMS``) or
+        #: ``"draft"``; every per-model list the engine needs (VMs, VM
+        #: names, which kinds it can serve) is read off this table.
+        #: Under tensor parallelism every shard owns its own pool slice
+        #: (``h_kv / tp`` heads per page); the draft stays unsharded.
+        self.models: Dict[str, Tuple[Any, List[NDArray]]] = {
+            "llm": (self.llm, self._kv_pools(
+                cfg.num_layers, cfg.num_kv_heads // self.tp, cfg.head_dim,
+                cfg.dtype)),
+        }
         if self.draft is not None:
-            dcfg = self.draft.cfg
-            dshape = (self.num_blocks, page, dcfg.num_kv_heads, dcfg.head_dim)
-            for _ in range(dcfg.num_layers):
-                self.draft_pools.append(NDArray.abstract(dshape, dcfg.dtype))
-                self.draft_pools.append(NDArray.abstract(dshape, dcfg.dtype))
+            d = self.draft.cfg
+            self.models["draft"] = (self.draft, self._kv_pools(
+                d.num_layers, d.num_kv_heads, d.head_dim, d.dtype))
         # Optional heterogeneous model families, one compiled VM each.
-        # All families share one block-id space (the PagedKVCache
-        # allocator): per-family pool arrays are sized to the same
-        # num_blocks, so any allocated block id indexes any family's pool.
-        self.whisper = None
-        self.whisper_pools: List[NDArray] = []
         if whisper_config is not None:
+            w = whisper_config
             wbounds = {
                 "b": 64,
-                "f": whisper_config.max_frames,
-                "m": whisper_config.max_target,
-                "t": whisper_config.enc_positions,
-                "w": -(-whisper_config.max_target // page),
-                "u": -(-whisper_config.enc_positions // page),
+                "f": w.max_frames,
+                "m": w.max_target,
+                "t": w.enc_positions,
+                "w": -(-w.max_target // page),
+                "u": -(-w.enc_positions // page),
             }
-            self.whisper = RelaxWhisper(
-                whisper_config, device,
+            whisper = RelaxWhisper(
+                w, device,
                 sym_var_upper_bounds=wbounds,
                 page_size=page,
                 enable_library_dispatch=enable_library_dispatch,
             )
-            wshape = (self.num_blocks, page, whisper_config.num_heads,
-                      whisper_config.head_dim)
-            for _ in range(whisper_config.decoder_layers):
-                self.whisper_pools.append(
-                    NDArray.abstract(wshape, whisper_config.dtype))
-                self.whisper_pools.append(
-                    NDArray.abstract(wshape, whisper_config.dtype))
-        self.denoise = None
+            self.models["whisper"] = (whisper, self._kv_pools(
+                w.decoder_layers, w.num_heads, w.head_dim, w.dtype))
         if denoise_config is not None:
-            self.denoise = RelaxDenoise(denoise_config, device)
-        self._vms: List[VirtualMachine] = [self.vm]
-        self._vm_names: List[str] = ["llm"]
-        if self.draft is not None:
-            self._vms.append(self.draft.vm)
-            self._vm_names.append("draft")
-        if self.whisper is not None:
-            self._vms.append(self.whisper.vm)
-            self._vm_names.append("whisper")
-        if self.denoise is not None:
-            self._vms.append(self.denoise.vm)
-            self._vm_names.append("denoise")
+            self.models["denoise"] = (RelaxDenoise(denoise_config, device), [])
+        self._vms = [runner.vm for runner, _ in self.models.values()]
         #: The in-flight run, if any (see the steppable core below).
         self._run: Optional[_RunState] = None
+
+    def _kv_pools(self, layers: int, heads: int, head_dim: int,
+                  dtype: str) -> List[NDArray]:
+        """One model's device-side pool, a K and a V array of shape
+        ``(p, page, heads, d)`` per layer.  Abstract mode: shape-only
+        arrays, allocated once per engine.  All models share one block-id
+        space (the PagedKVCache allocator; the draft reads the target's
+        block tables), so every pool is sized to the same ``num_blocks``
+        and any allocated block id indexes any model's pool."""
+        shape = (self.num_blocks, self.econfig.page_size, heads, head_dim)
+        return [NDArray.abstract(shape, dtype) for _ in range(2 * layers)]
 
     def _block_bytes(self) -> int:
         from .. import dtypes
@@ -306,28 +278,30 @@ class ServingEngine:
         the shared clock reaches them); a request only becomes eligible
         for admission once the engine clock reaches its ``arrival_s``.
         """
-        for r in requests:
-            if r.kind == "whisper" and self.whisper is None:
-                raise ValueError(
-                    "workload contains whisper requests but the engine was "
-                    "built without whisper_config"
-                )
-            if r.kind == "denoise" and self.denoise is None:
-                raise ValueError(
-                    "workload contains denoise requests but the engine was "
-                    "built without denoise_config"
-                )
-        if self._run is None:
-            self._run = self._begin_run()
         run = self._run
-        spec = self.spec
-        spec_k = spec.num_spec_tokens if spec is not None else 0
+        known = run.states if run is not None else {}
+        spec_k = self.spec.num_spec_tokens if self.spec is not None else 0
+        # A denoise step computes over every latent token — charge the
+        # shared token budget accordingly.
+        denoise_budget = (
+            self.models["denoise"][0].cfg.latent_tokens
+            if "denoise" in self.models else 1
+        )
+        # Build every state before touching the run: a batch that raises
+        # (a kind without a model, a repeated id, a malformed request)
+        # leaves the run exactly as it was.
+        states: Dict[int, RequestState] = {}
         for r in requests:
-            if r.req_id in run.states:
+            if r.kind in PROGRAMS and r.kind not in self.models:
+                raise ValueError(
+                    f"workload contains {r.kind} requests but the engine "
+                    f"was built without {r.kind}_config"
+                )
+            if r.req_id in known or r.req_id in states:
                 raise ValueError(
                     f"request {r.req_id} was already submitted to this run"
                 )
-            run.states[r.req_id] = RequestState(
+            states[r.req_id] = RequestState(
                 request=r,
                 metrics=RequestMetrics(
                     req_id=r.req_id,
@@ -337,21 +311,19 @@ class ServingEngine:
                     kind=r.kind,
                 ),
                 program=program_for(
-                    r, denoise_budget_per_step=run.denoise_budget,
+                    r, denoise_budget_per_step=denoise_budget,
                     llm_spec_tokens=spec_k,
                 ),
             )
-            run.requests.append(r)
+        if run is None:
+            run = self._run = self._begin_run()
+        run.states.update(states)
+        run.requests.extend(requests)
         run.pending.extend(requests)
         run.pending.sort(key=lambda r: (r.arrival_s, r.req_id))
 
     def _begin_run(self) -> _RunState:
         econf = self.econfig
-        # A denoise step computes over every latent token — charge the
-        # shared token budget accordingly.
-        denoise_budget = (
-            self.denoise.cfg.latent_tokens if self.denoise is not None else 1
-        )
         kv = PagedKVCache(self.num_blocks, econf.page_size)
         cache = PrefixCache(kv) if econf.enable_prefix_caching else None
         sched = ContinuousBatchingScheduler(econf.scheduler, kv)
@@ -372,14 +344,13 @@ class ServingEngine:
                 econf.telemetry,
                 slo_ttft_s=econf.slo_ttft_s,
                 slo_tpot_s=econf.slo_tpot_s,
-                vm_names=self._vm_names,
+                vm_names=list(self.models),
                 max_num_seqs=econf.scheduler.max_num_seqs,
                 max_num_batched_tokens=econf.scheduler.max_num_batched_tokens,
             )
             tel.attach(self._vms)
         return _RunState(
             kv=kv, cache=cache, sched=sched, oracle=oracle, tel=tel,
-            denoise_budget=denoise_budget,
             token_bytes=self._block_bytes() // econf.page_size,
             ctl_cap=spec.num_spec_tokens if spec is not None else 0,
             stats_start=[vm.stats.copy() for vm in self._vms],
@@ -478,10 +449,10 @@ class ServingEngine:
         run.clock = t_begin + delta.time_s + swap_s
         run.swap_total_s += swap_s
 
-        self._advance(it, sched, run.clock, run.kv, run.oracle)
+        self._advance(it, run)
         spec = self.spec
-        if spec is not None and spec.adaptive and it.spec_decode:
-            run.ctl_proposed += sum(k for _, _, k in it.spec_decode)
+        if spec is not None and spec.adaptive:
+            run.ctl_proposed += sum(s.spec_k or 0 for s in it.steps)
             run.ctl_accepted += sum(it.spec_accepted.values())
             if run.ctl_proposed >= spec.adapt_window:
                 rate = run.ctl_accepted / run.ctl_proposed
@@ -491,8 +462,7 @@ class ServingEngine:
                     run.ctl_cap = min(spec.num_spec_tokens, run.ctl_cap + 1)
                 sched.spec_k_cap = run.ctl_cap
                 run.ctl_proposed = run.ctl_accepted = 0
-        self._record(it, run.iterations, run.trace_events, t_begin,
-                     run.clock, swap_s, delta, run.kv, sched)
+        self._record(it, run, t_begin, swap_s, delta)
         if run.tel is not None:
             run.tel.on_iteration(
                 it=it, sched=sched, kv=run.kv, cache=run.cache,
@@ -510,6 +480,14 @@ class ServingEngine:
         run = self._run
         if run is not None and run.tel is not None:
             run.tel.detach(self._vms)
+
+    def reset(self) -> None:
+        """Drop the active run, if any, leaving the engine as built: the
+        compiled VMs persist across runs, so telemetry tracers come off
+        them before the run state is forgotten.  Every ``run()`` — this
+        engine's and the cluster's — starts and, on error, ends here."""
+        self._teardown_telemetry()
+        self._run = None
 
     def report(self) -> "ServeReport":
         """Finalize the run: audits, aggregation, and the ServeReport.
@@ -620,220 +598,115 @@ class ServingEngine:
     def run(self, requests: Sequence[Request]) -> "ServeReport":
         """Serve ``requests`` to completion: the submit/drain/report
         protocol as one call.  Always starts a fresh run."""
-        self._run = None
+        self.reset()
         try:
             self.submit(requests)
             self.drain()
         except BaseException:
-            self._teardown_telemetry()
-            self._run = None
+            self.reset()
             raise
         return self.report()
 
     # -- internals --------------------------------------------------------------
 
     def _execute(self, it: Iteration) -> None:
-        """Issue this iteration's VM calls (abstract mode: cost only)."""
-        if it.decode:
-            b = len(it.decode)
-            # Ragged batch: pad every block table to the widest sequence.
-            w = max(
-                max(it.decode_lengths) // self.econfig.page_size + 1, 1
-            )
-            self.vm.run(
-                "decode_paged",
-                NDArray.abstract((b, 1), "i64"),
-                NDArray.abstract((b, w), "i64"),
-                NDArray.abstract((b,), "i64"),
-                *self.pools,
-                *self.params,
-            )
+        """Issue this iteration's VM calls (abstract mode: cost only).
+
+        Work is grouped by program class in ``PROGRAMS`` order and each
+        class says which calls its items become, so every VM sees its own
+        calls in one fixed order — which is what the simulated clock, the
+        pools and the captured graphs depend on."""
         page = self.econfig.page_size
-        if it.spec_decode:
-            # Draft proposal rounds: round r decodes one draft token for
-            # every sequence still proposing (k > r); the draft reads the
-            # target's block tables (shared block-id space) with context
-            # grown by the r tokens already proposed this step.
-            max_k = max(k for _, _, k in it.spec_decode)
-            for r in range(max_k):
-                group = [ctx for _, ctx, k in it.spec_decode if k > r]
-                if not group:
-                    break
-                b = len(group)
-                w = max(max(c + r for c in group) // page + 1, 1)
-                self.draft.vm.run(
-                    "decode_paged",
-                    NDArray.abstract((b, 1), "i64"),
-                    NDArray.abstract((b, w), "i64"),
-                    NDArray.abstract((b,), "i64"),
-                    *self.draft_pools,
-                    *self.draft.params,
-                )
-            # One ragged multi-token verify on the target: row 0 is the
-            # last committed token, rows 1..k the draft proposals; the
-            # target scores all k + 1 positions in a single weights pass —
-            # which is the whole speculative bet (decode is weights-bound,
-            # so verifying k extra rows costs barely more than one token).
-            b = len(it.spec_decode)
-            s = max_k + 1
-            w = max(max(ctx for _, ctx, _ in it.spec_decode) // page + 1, 1)
-            self.vm.run(
-                "verify_paged",
-                NDArray.abstract((b, s), "i64"),
-                NDArray.abstract((b, w), "i64"),
-                NDArray.abstract((b,), "i64"),
-                NDArray.abstract((b,), "i64"),
-                *self.pools,
-                *self.params,
-            )
-        for _, past, chunk in it.prefill:
-            w = max(-(-(past + chunk) // page), 1)
-            self.vm.run(
-                "prefill_paged",
-                NDArray.abstract((1, chunk), "i64"),
-                NDArray.abstract((1, w), "i64"),
-                NDArray.abstract((past,), "i64"),
-                *self.pools,
-                *self.params,
-            )
-        # Heterogeneous per-request steps.  Whisper decodes run per
-        # sequence (each carries its own cross-stream block table);
-        # KV-free denoise steps batch into one call.
-        denoise_batch = 0
-        for state, ctx in it.steps:
-            prog = state.program
-            if prog.kind == "denoise":
-                denoise_batch += 1
+        work: Dict[str, Tuple[list, list]] = {}
+        for s in it.steps:
+            work.setdefault(s.state.program.kind, ([], []))[0].append(s)
+        for c in it.chunks:
+            work.setdefault(c.state.program.kind, ([], []))[1].append(c)
+        for kind, program in PROGRAMS.items():
+            if kind not in work:
                 continue
-            t = prog.enc_positions
-            w = max(ctx // page + 1, 1)
-            u = max(-(-t // page), 1)
-            self.whisper.vm.run(
-                "decode_paged",
-                NDArray.abstract((1, 1), "i64"),
-                NDArray.abstract((1, w), "i64"),
-                NDArray.abstract((ctx,), "i64"),
-                NDArray.abstract((1, u), "i64"),
-                NDArray.abstract((t,), "i64"),
-                *self.whisper_pools,
-                *self.whisper.params,
-            )
-        if denoise_batch:
-            dcfg = self.denoise.cfg
-            self.denoise.vm.run(
-                "denoise_step",
-                NDArray.abstract(
-                    (denoise_batch, dcfg.latent_tokens, dcfg.latent_dim),
-                    dcfg.dtype,
-                ),
-                *self.denoise.params,
-            )
-        # Heterogeneous chunked-phase work (whisper encode / cross-KV
-        # projection).  The encode cost model runs the chunk's frame
-        # slice through the encoder entry.
-        for state, phase_name, past, chunk in it.chunks:
-            if phase_name == "encode":
-                self.whisper.vm.run(
-                    "encode_chunk",
-                    NDArray.abstract(
-                        (1, chunk, self.whisper.cfg.n_mel),
-                        self.whisper.cfg.dtype,
-                    ),
-                    *self.whisper.params,
-                )
-            elif phase_name == "cross_project":
-                self.whisper.vm.run(
-                    "cross_project",
-                    NDArray.abstract(
-                        (1, chunk, self.whisper.cfg.d_model),
-                        self.whisper.cfg.dtype,
-                    ),
-                    *self.whisper.params,
-                )
-            else:
-                raise ValueError(
-                    f"no engine entry for chunked phase {phase_name!r}"
+            steps, chunks = work[kind]
+            cfg = self.models[kind][0].cfg
+            for model, entry, leading, paged in program.calls(
+                    steps, chunks, page, cfg):
+                runner, pools = self.models[model]
+                runner.vm.run(
+                    entry,
+                    *(NDArray.abstract(shape, dtype)
+                      for shape, dtype in leading),
+                    *(pools if paged else ()),
+                    *runner.params,
                 )
 
-    def _advance(self, it: Iteration, sched: ContinuousBatchingScheduler,
-                 clock: float, kv: PagedKVCache,
-                 oracle: TokenOracle) -> None:
-        """Commit token production and completions at ``clock``.
+    def _advance(self, it: Iteration, run: _RunState) -> None:
+        """Commit token production and completions at the run's clock.
 
         Token *identity* always comes from the oracle, indexed by output
         position — so any execution strategy (vanilla, speculative,
         recompute-after-preemption) reconstructs the identical stream;
         only the timestamps differ.
         """
-        for state in it.decode:
-            state.metrics.output_tokens.append(
-                oracle.target_token(state.seq_id, state.generated))
-            state.generated += 1
-            state.metrics.token_times.append(clock)
-            if state.done:
-                state.metrics.finish_s = clock
-                sched.finish(state)
-        for state, ctx, k in it.spec_decode:
-            # Greedy-match acceptance: the emitted stream is the longest
-            # prefix of draft proposals the target agrees with, plus the
-            # target's own "bonus" token — so between 1 and k + 1 tokens
-            # commit, all byte-identical to what vanilla decode would
-            # have emitted at these positions.
-            pos = state.generated
-            n = 0
-            while n < k and oracle.draft_matches(state.seq_id, pos + n):
-                n += 1
-            state.metrics.spec_proposed += k
-            state.metrics.spec_accepted += n
-            state.metrics.spec_checked += n if n == k else n + 1
-            it.spec_accepted[state.seq_id] = n
-            # Exact rollback: the scheduler appended k + 1 KV tokens
-            # optimistically; the k - n rejected tail tokens come back
-            # out, returning fully-vacated tail pages to the pool in
-            # LIFO order.
-            if k - n:
-                kv.rollback(state.seq_id, k - n)
-            for i in range(n + 1):
-                state.metrics.output_tokens.append(
-                    oracle.target_token(state.seq_id, pos + i))
+        clock, oracle = run.clock, run.oracle
+
+        def commit(state: RequestState, units: int) -> None:
+            metrics = state.metrics
+            for _ in range(units):
+                if state.program.batched_decode:
+                    metrics.output_tokens.append(
+                        oracle.target_token(state.seq_id, state.generated))
                 state.generated += 1
-                state.metrics.token_times.append(clock)
+                metrics.token_times.append(clock)
             if state.done:
-                state.metrics.finish_s = clock
-                sched.finish(state)
-        for state, _ in it.steps:
-            state.generated += 1
-            state.metrics.token_times.append(clock)
-            if state.done:
-                state.metrics.finish_s = clock
-                sched.finish(state)
-        for state, _, _ in it.prefill:
+                metrics.finish_s = clock
+                run.sched.finish(state)
+
+        for state, _, k in it.steps:
+            n = 0
+            if k is not None:
+                # Greedy-match acceptance: the emitted stream is the
+                # longest prefix of draft proposals the target agrees
+                # with, plus the target's own "bonus" token — so between
+                # 1 and k + 1 tokens commit, all byte-identical to what
+                # vanilla decode would have emitted at these positions.
+                while n < k and oracle.draft_matches(
+                        state.seq_id, state.generated + n):
+                    n += 1
+                state.metrics.spec_proposed += k
+                state.metrics.spec_accepted += n
+                state.metrics.spec_checked += n if n == k else n + 1
+                it.spec_accepted[state.seq_id] = n
+                # Exact rollback: the scheduler appended k + 1 KV tokens
+                # optimistically; the k - n rejected tail tokens come
+                # back out, returning fully-vacated tail pages to the
+                # pool in LIFO order.
+                if k - n:
+                    run.kv.rollback(state.seq_id, k - n)
+            commit(state, n + 1)
+        for state, _, _, _ in it.chunks:
             if (
-                state.phase is Phase.DECODE
+                state.program.batched_decode
+                and state.phase is Phase.DECODE
                 and state.prefilled == state.prefill_target
                 and state.generated == 0
             ):
                 # Final prefill chunk yields the first output token.
-                state.metrics.output_tokens.append(
-                    oracle.target_token(state.seq_id, 0))
-                state.generated = 1
-                state.metrics.token_times.append(clock)
-                if state.done:
-                    state.metrics.finish_s = clock
-                    sched.finish(state)
+                commit(state, 1)
 
-    def _record(self, it: Iteration, iterations, trace_events,
-                t_begin: float, t_end: float, swap_s: float,
-                delta: ExecutionStats, kv: PagedKVCache,
-                sched: ContinuousBatchingScheduler) -> None:
-        idx = len(iterations)
+    def _record(self, it: Iteration, run: _RunState, t_begin: float,
+                swap_s: float, delta: ExecutionStats) -> None:
+        t_end, kv, events = run.clock, run.kv, run.trace_events
+        idx = len(run.iterations)
         us = 1e6
+        paths = [s.path for s in it.steps]
+        prefill_tokens = sum(
+            c.units for c in it.chunks if c.state.program.batched_decode)
+        chunk_tokens = sum(c.units for c in it.chunks) - prefill_tokens
         record = {
             "index": idx,
             "start_s": t_begin,
             "dur_s": t_end - t_begin,
-            "decode_batch": len(it.decode),
-            "prefill_tokens": sum(n for _, _, n in it.prefill),
+            "decode_batch": paths.count("decode"),
+            "prefill_tokens": prefill_tokens,
             "num_batched_tokens": it.num_batched_tokens,
             "preemptions": len(it.preempted),
             "swap_s": swap_s,
@@ -842,92 +715,66 @@ class ServingEngine:
             "reclaimable_blocks": kv.num_reclaimable_blocks,
             "cache_hits": len(it.cache_hits),
             "cached_tokens": sum(n for _, n in it.cache_hits),
-            "queue_depth": sched.queue_depth,
+            "queue_depth": run.sched.queue_depth,
         }
         # Heterogeneous keys only appear when such work was scheduled, so
         # single-type (LLM-only) runs keep their exact legacy records.
-        if it.steps or it.chunks:
-            record["steps"] = len(it.steps)
-            record["chunk_tokens"] = sum(n for _, _, _, n in it.chunks)
+        if "step" in paths or chunk_tokens:
+            record["steps"] = paths.count("step")
+            record["chunk_tokens"] = chunk_tokens
         # Speculative keys likewise: vanilla runs must stay byte-identical.
-        if it.spec_decode:
-            record["spec_batch"] = len(it.spec_decode)
-            record["spec_proposed"] = sum(k for _, _, k in it.spec_decode)
+        if "spec" in paths:
+            record["spec_batch"] = paths.count("spec")
+            record["spec_proposed"] = sum(s.spec_k or 0 for s in it.steps)
             record["spec_accepted"] = sum(it.spec_accepted.values())
-        iterations.append(record)
+        run.iterations.append(record)
         # Engine track (pid 0 / tid 0): one slice per iteration plus a
         # KV-utilisation counter.
-        trace_events.append({
+        events.append({
             "name": f"iteration[{idx}]",
             "ph": "X", "pid": 0, "tid": 0,
             "ts": t_begin * us, "dur": (t_end - t_begin) * us,
             "args": {
-                "decode_batch": len(it.decode),
-                "prefill_tokens": sum(n for _, _, n in it.prefill),
+                "decode_batch": record["decode_batch"],
+                "prefill_tokens": prefill_tokens,
                 "preemptions": len(it.preempted),
             },
         })
-        trace_events.append({
+        events.append({
             "name": "kv_used_blocks",
             "ph": "C", "pid": 0, "tid": 0,
             "ts": t_end * us,
             "args": {"used": kv.allocator.num_used},
         })
-        # Request tracks (pid 1, one tid per request): a slice per
-        # iteration the request participated in, instants for preemption.
-        for state in it.decode:
-            trace_events.append({
-                "name": "decode",
-                "ph": "X", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-                "args": {"token": state.generated + 1},
-            })
-        for state, ctx, k in it.spec_decode:
-            trace_events.append({
-                "name": "spec_decode",
-                "ph": "X", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-                "args": {
-                    "ctx": ctx,
-                    "proposed": k,
-                    "accepted": it.spec_accepted.get(state.seq_id, 0),
-                },
-            })
-        for state, past, chunk in it.prefill:
-            trace_events.append({
-                "name": "prefill",
-                "ph": "X", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-                "args": {"past": past, "chunk": chunk},
-            })
-        for state, ctx in it.steps:
-            trace_events.append({
-                "name": state.program.stepped.name,
-                "ph": "X", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-                "args": {"step": state.generated + 1, "ctx": ctx},
-            })
-        for state, phase_name, past, chunk in it.chunks:
-            trace_events.append({
-                "name": phase_name,
-                "ph": "X", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-                "args": {"past": past, "chunk": chunk},
-            })
+
+        def on_track(state: RequestState, name: str, ph: str = "X",
+                     **args: Any) -> None:
+            # Request tracks (pid 1, one tid per request): a slice per
+            # iteration the request took part in, instants otherwise.
+            event = {"name": name, "ph": ph, "pid": 1, "tid": state.seq_id,
+                     "ts": t_begin * us}
+            if ph == "X":
+                event["dur"] = (t_end - t_begin) * us
+            else:
+                event["s"] = "t"
+            event["args"] = args
+            events.append(event)
+
+        for path, (state, ctx, k) in zip(paths, it.steps):
+            if path == "spec":
+                on_track(state, "spec_decode", ctx=ctx, proposed=k,
+                         accepted=it.spec_accepted.get(state.seq_id, 0))
+            elif path == "decode":
+                on_track(state, "decode", token=state.generated + 1)
+            else:
+                on_track(state, state.program.stepped.name,
+                         step=state.generated + 1, ctx=ctx)
+        for state, phase, past, units in it.chunks:
+            on_track(state, phase, past=past, chunk=units)
         for state, tokens, mode in it.preempted:
-            trace_events.append({
-                "name": f"preempt[{mode}]",
-                "ph": "i", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "s": "t",
-                "args": {"tokens": tokens},
-            })
+            on_track(state, f"preempt[{mode}]", "i", tokens=tokens)
         for state, cached in it.cache_hits:
-            trace_events.append({
-                "name": "prefix_cache_hit",
-                "ph": "i", "pid": 1, "tid": state.seq_id,
-                "ts": t_begin * us, "s": "t",
-                "args": {"cached_tokens": cached},
-            })
+            on_track(state, "prefix_cache_hit", "i", cached_tokens=cached)
 
 
 @dataclass
@@ -977,12 +824,9 @@ class ServeReport:
         }
 
     def export_chrome_trace(self, path: str) -> Dict[str, Any]:
-        from ..obs.report import validate_chrome_trace
+        from ..obs.report import write_chrome_trace
 
-        trace = validate_chrome_trace(self.chrome_trace())
-        with open(path, "w") as f:
-            json.dump(trace, f)
-        return trace
+        return write_chrome_trace(self.chrome_trace(), path)
 
     def to_dict(self) -> Dict[str, Any]:
         out_requests = []

@@ -18,15 +18,16 @@ scheduler:
 * **Iterative denoise**: no chunked work and no KV at all — just N
   stepped iterations over a fixed latent.
 
-KV-block demand, token-budget accounting, preemption eligibility and the
-completion predicate all live here; ``scheduler.py`` is generic over
-them.  See DESIGN.md §11.
+KV-block demand, token-budget accounting, preemption eligibility, the
+completion predicate and — through :meth:`RequestProgram.calls` — the VM
+calls a planned step becomes all live here; ``scheduler.py`` and
+``engine.py`` are generic over them.  See DESIGN.md §11 and §18.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .workload import Request
 
@@ -35,6 +36,20 @@ from .workload import Request
 #: in the same shared block pool.
 SELF_STREAM = "self"
 CROSS_STREAM = "cross"
+
+
+#: One VM call: ``(model, entry, leading, paged)``.  ``model`` names the
+#: compiled model that runs it (a program kind, or ``"draft"``),
+#: ``leading`` is the ``(shape, dtype)`` of each argument in front of the
+#: weights, and ``paged`` says whether that model's KV pools sit between
+#: the two.
+Call = Tuple[str, str, List[Tuple[Tuple[int, ...], str]], bool]
+
+
+def table_width(tokens: int, page: int) -> int:
+    """Block-table columns that hold ``tokens`` KV positions.  A decode
+    step appending to ``ctx`` cached tokens passes ``ctx + 1``."""
+    return max(-(-tokens // page), 1)
 
 
 def stream_seq_id(req_id: int, stream: str) -> int:
@@ -111,9 +126,9 @@ class RequestProgram:
     #: May the engine probe/populate the radix prefix cache with this
     #: request's prompt?
     prefix_cacheable: bool = False
-    #: Do this program's steps join the engine's homogeneous batched
-    #: decode call (``Iteration.decode``)?  Programs without engine-side
-    #: batch support run per-request via ``Iteration.steps``.
+    #: Is this a token-batched decoder: its steps commit oracle tokens
+    #: and are reported as the iteration's ``decode_batch``, its chunks
+    #: as ``prefill_tokens``, and its final chunk yields the first token?
     batched_decode: bool = False
 
     def __init__(self, request: Request, chunked: List[ChunkedPhase],
@@ -182,6 +197,18 @@ class RequestProgram:
             )
         return sum(-(-t // page_size) for t in per_stream.values())
 
+    # -- VM calls ---------------------------------------------------------------
+
+    @staticmethod
+    def calls(steps: Sequence[Any], chunks: Sequence[Any], page: int,
+              cfg: Any) -> Iterator[Call]:
+        """The VM calls one iteration's work of this program kind
+        becomes, in issue order.  ``steps`` / ``chunks`` are the
+        :class:`~repro.serve.scheduler.Iteration` items whose program is
+        of this class, ``page`` the KV page size, ``cfg`` this kind's
+        model config."""
+        raise NotImplementedError
+
     # -- preemption/swap cost hooks ---------------------------------------------
 
     def swap_tokens(self, private_tokens: int) -> int:
@@ -206,6 +233,45 @@ class LLMProgram(RequestProgram):
             stepped=SteppedPhase("decode", target=request.output_len,
                                  max_spec_tokens=spec_tokens),
         )
+
+    @staticmethod
+    def calls(steps, chunks, page, cfg):
+        def batch(model, entry, ctxs, s=1, ragged=False):
+            # Ragged batch: pad every block table to the widest sequence.
+            b = len(ctxs)
+            lengths = [((b,), "i64")] * (2 if ragged else 1)
+            return (model, entry, [
+                ((b, s), "i64"),
+                ((b, table_width(max(ctxs) + 1, page)), "i64"),
+                *lengths,
+            ], True)
+
+        plain = [s.ctx for s in steps if s.spec_k is None]
+        if plain:
+            yield batch("llm", "decode_paged", plain)
+        spec = [s for s in steps if s.spec_k is not None]
+        if spec:
+            # Draft proposal rounds: round r decodes one draft token for
+            # every sequence still proposing (k > r); the draft reads the
+            # target's block tables (shared block-id space) with context
+            # grown by the r tokens already proposed this step.
+            max_k = max(s.spec_k for s in spec)
+            for r in range(max_k):
+                yield batch("draft", "decode_paged",
+                            [s.ctx + r for s in spec if s.spec_k > r])
+            # One ragged multi-token verify on the target: row 0 is the
+            # last committed token, rows 1..k the draft proposals; the
+            # target scores all k + 1 positions in a single weights pass —
+            # which is the whole speculative bet (decode is weights-bound,
+            # so verifying k extra rows costs barely more than one token).
+            yield batch("llm", "verify_paged", [s.ctx for s in spec],
+                        s=max_k + 1, ragged=True)
+        for c in chunks:
+            yield ("llm", "prefill_paged", [
+                ((1, c.units), "i64"),
+                ((1, table_width(c.past + c.units, page)), "i64"),
+                ((c.past,), "i64"),
+            ], True)
 
 
 class WhisperProgram(RequestProgram):
@@ -239,6 +305,28 @@ class WhisperProgram(RequestProgram):
     def enc_positions(self) -> int:
         return self.request.prompt_len // 2
 
+    @staticmethod
+    def calls(steps, chunks, page, cfg):
+        # Decodes run per sequence: each carries its own cross-stream
+        # block table next to the self-stream one.
+        for s in steps:
+            t = s.state.program.enc_positions
+            yield ("whisper", "decode_paged", [
+                ((1, 1), "i64"),
+                ((1, table_width(s.ctx + 1, page)), "i64"),
+                ((s.ctx,), "i64"),
+                ((1, table_width(t, page)), "i64"),
+                ((t,), "i64"),
+            ], True)
+        # The encode cost model runs the chunk's frame slice through the
+        # encoder entry; the projection reads the encoder output.
+        entries = {"encode": ("encode_chunk", cfg.n_mel),
+                   "cross_project": ("cross_project", cfg.d_model)}
+        for c in chunks:
+            entry, width = entries[c.phase]
+            yield ("whisper", entry,
+                   [((1, c.units, width), cfg.dtype)], False)
+
 
 class DenoiseProgram(RequestProgram):
     """N stepped denoise iterations; no chunked work, no KV growth."""
@@ -255,6 +343,23 @@ class DenoiseProgram(RequestProgram):
                                  kv_per_step=0,
                                  budget_per_step=budget_per_step),
         )
+
+    @staticmethod
+    def calls(steps, chunks, page, cfg):
+        # KV-free steps batch into one call.
+        if steps:
+            yield ("denoise", "denoise_step", [
+                ((len(steps), cfg.latent_tokens, cfg.latent_dim), cfg.dtype),
+            ], False)
+
+
+#: Request kind -> program class, in the order the engine issues each
+#: kind's VM calls within an iteration.
+PROGRAMS: Dict[str, Type[RequestProgram]] = {
+    "llm": LLMProgram,
+    "whisper": WhisperProgram,
+    "denoise": DenoiseProgram,
+}
 
 
 def program_for(request: Request, *,

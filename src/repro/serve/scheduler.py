@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .kv_cache import CacheError, PagedKVCache
 from .metrics import RequestMetrics
@@ -117,25 +117,49 @@ class RequestState:
         self.program.chunked[0].target = value
 
 
+class Step(NamedTuple):
+    """One stepped-phase step: an LLM/Whisper decode token, a denoise
+    iteration, or — when ``spec_k`` is set — a draft/verify step."""
+
+    state: RequestState
+    #: Self-stream context *before* this step's append (0 for programs
+    #: that hold no KV).
+    ctx: int
+    #: Draft tokens proposed on top of the mandatory bonus token (the
+    #: append was an optimistic ``spec_k + 1`` tokens); ``None`` means
+    #: the program does not speculate.
+    spec_k: Optional[int] = None
+
+    @property
+    def path(self) -> str:
+        """How the step commits its units: ``"spec"`` (verified drafts),
+        ``"decode"`` (a token of a batched-decode program) or ``"step"``."""
+        if self.spec_k is not None:
+            return "spec"
+        return "decode" if self.state.program.batched_decode else "step"
+
+
+class Chunk(NamedTuple):
+    """One chunked-phase chunk: LLM prefill, Whisper encode or cross-KV
+    projection."""
+
+    state: RequestState
+    phase: str
+    past: int
+    units: int
+
+
 @dataclass
 class Iteration:
-    """One scheduled engine step (already reflected in the KV cache)."""
+    """One scheduled engine step (already reflected in the KV cache).
 
-    #: Sequences decoding one token each in the engine's *batched* LLM
-    #: decode call; ``decode_lengths[i]`` is the cached context *before*
-    #: this step's append.
-    decode: List[RequestState] = field(default_factory=list)
-    decode_lengths: List[int] = field(default_factory=list)
-    #: ``(state, past_tokens, chunk_len)`` prefill chunks.
-    prefill: List[Tuple[RequestState, int, int]] = field(default_factory=list)
-    #: ``(state, ctx_len)`` stepped-phase steps of non-batched programs
-    #: (Whisper decode tokens, denoise iterations); ``ctx_len`` is the
-    #: self-stream context *before* this step's append (0 for programs
-    #: that hold no KV).
-    steps: List[Tuple[RequestState, int]] = field(default_factory=list)
-    #: ``(state, phase_name, past_units, chunk_units)`` chunked-phase
-    #: chunks of non-LLM programs (Whisper encode / cross-projection).
-    chunks: List[Tuple[RequestState, str, int, int]] = field(default_factory=list)
+    All planned work, whatever the request kind, is in two lists in
+    scheduling order; each item's :class:`RequestProgram` says which VM
+    calls it becomes (:meth:`~repro.serve.program.RequestProgram.calls`).
+    """
+
+    steps: List[Step] = field(default_factory=list)
+    chunks: List[Chunk] = field(default_factory=list)
     #: Sequences restored from host swap this step (tokens copied back).
     swapped_in: List[Tuple[RequestState, int]] = field(default_factory=list)
     #: ``(state, swapped_tokens, mode)`` preemptions performed while
@@ -147,30 +171,22 @@ class Iteration:
     #: Sequences admitted from the waiting queue this step (includes
     #: recompute-preempted sequences re-entering the running set).
     admitted: List[RequestState] = field(default_factory=list)
-    #: ``(state, ctx_len, k)`` speculative decode entries: the sequence
-    #: runs one draft/verify step proposing ``k`` draft tokens on top of
-    #: the mandatory bonus token; ``ctx_len`` is the cached context
-    #: *before* this step's optimistic ``k + 1``-token append.  Empty
-    #: unless the program's stepped phase enables speculation.
-    spec_decode: List[Tuple[RequestState, int, int]] = field(default_factory=list)
     #: Filled by the engine after verification: ``seq_id -> accepted``
-    #: draft count for this iteration's speculative entries.
+    #: draft count for this iteration's speculative steps.
     spec_accepted: Dict[int, int] = field(default_factory=dict)
 
     @property
     def num_batched_tokens(self) -> int:
         return (
-            len(self.decode)
-            + sum(n for _, _, n in self.prefill)
-            + sum(s.program.stepped.budget_per_step for s, _ in self.steps)
-            + sum(n for _, _, _, n in self.chunks)
-            + sum(k + 1 for _, _, k in self.spec_decode)
+            sum(s.state.program.stepped.budget_per_step + (s.spec_k or 0)
+                for s in self.steps)
+            + sum(c.units for c in self.chunks)
         )
 
     @property
     def empty(self) -> bool:
-        return not (self.decode or self.prefill or self.steps or self.chunks
-                    or self.spec_decode or self.swapped_in or self.preempted)
+        return not (self.steps or self.chunks
+                    or self.swapped_in or self.preempted)
 
 
 @dataclass(frozen=True)
@@ -244,16 +260,18 @@ class ContinuousBatchingScheduler:
     # -- preemption -------------------------------------------------------------
 
     def _preempt_one(self, it: Iteration,
-                     protect: List[RequestState]) -> bool:
-        """Evict the latest-arrived running sequence not in ``protect``.
+                     keep: Optional[RequestState] = None) -> bool:
+        """Evict the latest-arrived running sequence that is neither
+        ``keep`` nor already stepping in ``it``.
 
         Returns False when no victim exists (callers then shrink their
         demand instead).  The victim's blocks are freed *after* it leaves
         the running list, so eviction can never touch a sequence that is
         part of the batch being planned.
         """
+        protect = [s.state for s in it.steps]
         for victim in reversed(self.running):
-            if victim in protect:
+            if victim is keep or victim in protect:
                 continue
             if not victim.program.evictable:
                 # Write-once KV (e.g. Whisper's cross stream) cannot be
@@ -307,15 +325,15 @@ class ContinuousBatchingScheduler:
             sp = state.program.stepped
             need = sp.kv_per_step
             if need == 0:
-                it.steps.append((state, 0))
+                it.steps.append(Step(state, 0))
                 continue
             # Speculative width for this step: the program's k, capped by
             # the adaptive controller and by the request's remaining
             # output (the step always emits at least the bonus token, so
             # proposing more than remaining - 1 drafts is pure waste).
             # k = 0 degenerates to the vanilla one-token step arithmetic.
-            spec_k = 0
-            if sp.max_spec_tokens > 0 and state.program.batched_decode:
+            spec_k = None
+            if sp.max_spec_tokens > 0:
                 spec_k = min(sp.max_spec_tokens,
                              sp.target - state.generated - 1)
                 if self.spec_k_cap is not None:
@@ -333,29 +351,19 @@ class ContinuousBatchingScheduler:
                 ):
                     spec_k -= 1
                 need = sp.kv_per_step * (1 + spec_k)
-            stepping = [s for s, _ in it.steps]
-            speccing = [s for s, _, _ in it.spec_decode]
             placed = False
             while True:
                 if self.kv.can_append(state.seq_id, need):
-                    ctx = self.kv.length(state.seq_id)
+                    # A speculative append is optimistic: the engine
+                    # verifies the k drafts and rolls back whatever the
+                    # target rejects, so pool pressure here is the honest
+                    # worst case for this step.
+                    it.steps.append(
+                        Step(state, self.kv.length(state.seq_id), spec_k))
                     self.kv.append(state.seq_id, need)
-                    if sp.max_spec_tokens > 0 and state.program.batched_decode:
-                        # Optimistic append: the engine verifies the k
-                        # drafts and rolls back whatever the target
-                        # rejects, so pool pressure here is the honest
-                        # worst case for this step.
-                        it.spec_decode.append((state, ctx, spec_k))
-                    elif state.program.batched_decode:
-                        it.decode_lengths.append(ctx)
-                        it.decode.append(state)
-                    else:
-                        it.steps.append((state, ctx))
                     placed = True
                     break
-                if not self._preempt_one(
-                    it, protect=it.decode + stepping + speccing + [state]
-                ):
+                if not self._preempt_one(it, keep=state):
                     break
             if not placed:
                 # Could not make room even after evicting everyone else.
@@ -375,14 +383,9 @@ class ContinuousBatchingScheduler:
                     )
                 # Otherwise preempt this sequence too rather than stall
                 # with a half-planned step.
-                self._preempt_one(it, protect=it.decode + stepping + speccing)
+                self._preempt_one(it)
 
-        budget = (
-            cfg.max_num_batched_tokens
-            - len(it.decode)
-            - sum(s.program.stepped.budget_per_step for s, _ in it.steps)
-            - sum(k + 1 for _, _, k in it.spec_decode)
-        )
+        budget = cfg.max_num_batched_tokens - it.num_batched_tokens
 
         # 2. Resume swapped sequences (oldest first) while seats, blocks
         #    and token budget allow.  A resumed sequence decodes starting
@@ -511,7 +514,7 @@ class ContinuousBatchingScheduler:
             # the same iteration.
             if (not state.program.has_chunked_work()
                     and state.program.stepped.kv_per_step == 0):
-                it.steps.append((state, 0))
+                it.steps.append(Step(state, 0))
                 budget -= state.program.stepped.budget_per_step
 
         # 4. Chunked-phase work over every PREFILL sequence, budget
@@ -550,10 +553,7 @@ class ContinuousBatchingScheduler:
             past = ph.done
             ph.done += chunk
             budget -= chunk
-            if prog.batched_decode:
-                it.prefill.append((state, past, chunk))
-            else:
-                it.chunks.append((state, ph.name, past, chunk))
+            it.chunks.append(Chunk(state, ph.name, past, chunk))
             if not prog.has_chunked_work():
                 state.phase = Phase.DECODE
                 # Prompt KV is fully cached now: publish its full pages

@@ -328,33 +328,30 @@ class EngineTelemetry:
 
         # ---- counters: work committed and resources moved this step
         reg.counter("iterations_total", "scheduled engine iterations").inc()
-        first_tokens = sum(
-            1 for state, past, chunk in it.prefill
-            if past + chunk == state.prefill_target
-            and state.generated == 1
-            and state.metrics.token_times
-            and state.metrics.token_times[-1] == t_end
-        )
-        committed = (
-            len(it.decode)
-            + sum(it.spec_accepted.values()) + len(it.spec_decode)
-            + len(it.steps)
-            + first_tokens
-        )
-        reg.counter("tokens_total", "output units committed",
-                    path="decode").inc(len(it.decode))
-        if it.spec_decode:
-            reg.counter("tokens_total", "output units committed",
-                        path="spec").inc(
-                sum(it.spec_accepted.values()) + len(it.spec_decode))
-        if it.steps:
-            reg.counter("tokens_total", "output units committed",
-                        path="step").inc(len(it.steps))
-        if first_tokens:
-            reg.counter("tokens_total", "output units committed",
-                        path="prefill_first").inc(first_tokens)
+        paths = [s.path for s in it.steps]
+        spec_steps = paths.count("spec")
+        proposed = sum(s.spec_k or 0 for s in it.steps)
+        accepted = sum(it.spec_accepted.values())
+        prefill = [c for c in it.chunks if c.state.program.batched_decode]
+        units = {
+            "decode": paths.count("decode"),
+            "spec": accepted + spec_steps,
+            "step": paths.count("step"),
+            "prefill_first": sum(
+                1 for state, _, past, units in prefill
+                if past + units == state.prefill_target
+                and state.generated == 1
+                and state.metrics.token_times
+                and state.metrics.token_times[-1] == t_end
+            ),
+        }
+        committed = sum(units.values())
+        for path, n in units.items():
+            if n or path == "decode":
+                reg.counter("tokens_total", "output units committed",
+                            path=path).inc(n)
         reg.counter("prefill_tokens_total", "prompt tokens prefilled").inc(
-            sum(n for _, _, n in it.prefill))
+            sum(c.units for c in prefill))
         for _, _, mode in it.preempted:
             reg.counter("preemptions_total", "sequences evicted",
                         mode=mode).inc()
@@ -366,9 +363,7 @@ class EngineTelemetry:
             delta.time_s)
         reg.counter("kernel_launches_total", "VM kernel launches").inc(
             delta.kernel_launches)
-        if it.spec_decode:
-            proposed = sum(k for _, _, k in it.spec_decode)
-            accepted = sum(it.spec_accepted.values())
+        if spec_steps:
             reg.counter("spec_proposed_total", "draft tokens proposed").inc(
                 proposed)
             reg.counter("spec_accepted_total", "draft tokens accepted").inc(
@@ -455,11 +450,11 @@ class EngineTelemetry:
         reg.histogram("iteration_batched_tokens",
                       "token budget consumed per iteration",
                       window_s=window).observe(it.num_batched_tokens, t_end)
-        if it.decode or it.spec_decode:
+        if units["decode"] or spec_steps:
             reg.histogram("decode_batch_size",
                           "sequences per batched decode/verify call",
                           window_s=window).observe(
-                len(it.decode) + len(it.spec_decode), t_end)
+                units["decode"] + spec_steps, t_end)
 
         # ---- Perfetto counter tracks (one sample per iteration)
         def counter(name: str, args: Dict[str, Any]) -> None:
@@ -479,11 +474,9 @@ class EngineTelemetry:
         if cache is not None:
             counter("prefix_cache_hit_rate",
                     {"rate": cache.stats.hit_rate})
-        if it.spec_decode:
-            counter("spec_tokens", {
-                "proposed": sum(k for _, _, k in it.spec_decode),
-                "accepted": sum(it.spec_accepted.values()),
-            })
+        if spec_steps:
+            counter("spec_tokens",
+                    {"proposed": proposed, "accepted": accepted})
 
         # ---- per-shard mesh tracks (tensor parallelism): one counter
         # track per rank, sampled from the live lockstep stats.  The
@@ -516,39 +509,23 @@ class EngineTelemetry:
             )
         for state, copied in it.swapped_in:
             spans.resumed(state.seq_id, t_begin, copied_tokens=copied)
-        for state, _, chunk in it.prefill:
-            spans.activity(state.seq_id, "prefill", t_begin, t_end)
-        for state in it.decode:
-            spans.activity(state.seq_id, "decode", t_begin, t_end)
-        for state, _, k in it.spec_decode:
-            spans.activity(state.seq_id, "spec_decode", t_begin, t_end)
-        for state, _ in it.steps:
-            spans.activity(state.seq_id, state.program.stepped.name,
-                           t_begin, t_end)
         for state, phase_name, _, _ in it.chunks:
             spans.activity(state.seq_id, phase_name, t_begin, t_end)
+        for path, step in zip(paths, it.steps):
+            name = ("spec_decode" if path == "spec"
+                    else step.state.program.stepped.name)
+            spans.activity(step.state.seq_id, name, t_begin, t_end)
         for state, tokens, mode in it.preempted:
             spans.preempted(state.seq_id, t_begin, mode,
                             swapped_tokens=tokens)
 
-        # ---- completions: SLO window + span close
-        finished: List[Any] = []
-        seen: set = set()
-        participants = (
-            list(it.decode)
-            + [s for s, _, _ in it.spec_decode]
-            + [s for s, _ in it.steps]
-            + [s for s, _, _ in it.prefill]
-        )
-        for state in participants:
-            if state.seq_id in seen:
-                continue
-            seen.add(state.seq_id)
-            if (state.phase is Phase.FINISHED
-                    and state.metrics.finish_s == t_end):
-                finished.append(state)
-        for state in finished:
+        # ---- completions: SLO window + span close (a request is planned
+        # at most once per iteration, so no participant repeats)
+        for state in ([s.state for s in it.steps]
+                      + [c.state for c in it.chunks]):
             m = state.metrics
+            if state.phase is not Phase.FINISHED or m.finish_s != t_end:
+                continue
             spans.finished(state.seq_id, t_end,
                            output_tokens=len(m.token_times),
                            preemptions=m.preemptions)

@@ -8,7 +8,9 @@ from repro.models import TINY_LLAMA, TINY_LLAMA_TP
 from repro.obs import validate_chrome_trace
 from repro.runtime import RTX_4090, TEST_DEVICE
 from repro.serve import (
+    CacheError,
     ClusterConfig,
+    ClusterEngine,
     EngineConfig,
     Request,
     SchedulerConfig,
@@ -215,6 +217,27 @@ def test_saturated_prefix_fleet_under_pool_pressure_preempts_and_finishes():
         assert rep.summary["preemptions"] > 0
     assert sum(rep.summary["num_finished"]
                for rep in report.replica_reports) == n
+
+
+def test_cluster_run_starts_fresh_after_a_failed_run():
+    """``ClusterEngine.run`` used to resume whatever a failed run left
+    behind: replica 0 still had the outgrown request in flight, so the
+    next ``run()`` re-raised the *old* request's error."""
+    cluster = ClusterEngine(
+        TINY_LLAMA, TEST_DEVICE,
+        ClusterConfig(dp=2, engine=_engine_config(num_blocks=6)),
+    )
+    too_long = Request(req_id=0, arrival_s=0.0, prompt_len=8, output_len=40)
+    with pytest.raises(CacheError, match="request 0 needs"):
+        cluster.run([too_long])
+    assert all(e.active_run is None for e in cluster.engines)
+    ok = [Request(req_id=i, arrival_s=0.0, prompt_len=6, output_len=4)
+          for i in range(1, 5)]
+    report = cluster.run(ok)  # report() ends with check_no_leaks()
+    assert report.summary["num_finished"] == len(ok)
+    for rep in report.replica_reports:
+        assert rep.summary["kv_pool"]["leaked_blocks"] == 0
+        assert {m.req_id for m in rep.requests} <= {r.req_id for r in ok}
 
 
 class TestClusterCLIValidation:

@@ -326,6 +326,33 @@ class TestSteppableAPI:
         with pytest.raises(ValueError, match="already submitted"):
             engine.submit([requests[0]])
 
+    def test_failed_submit_leaves_the_run_unchanged(self):
+        # A duplicate in the middle of a batch used to register the
+        # requests before it without ever queueing them: the run then
+        # "drained" and reported them as unfinished, with no error.
+        engine = _engine()
+        r0, r1, r2, r3 = generate(_workload(n=4))
+        engine.submit([r0])
+        run = engine.active_run
+        for bad in ([r1, r2, r0, r3], [r1, r2, r1]):
+            with pytest.raises(ValueError, match="already submitted"):
+                engine.submit(bad)
+            assert list(run.states) == [r0.req_id]
+            assert run.requests == [r0] and run.pending == [r0]
+        engine.submit([r1, r2, r3])
+        engine.drain()
+        s = engine.report().summary
+        assert (s["num_requests"], s["num_finished"]) == (4, 4)
+
+    def test_rejected_kind_registers_nothing(self):
+        engine = _engine()
+        r0, r1 = generate(_workload(n=2))
+        whisper = Request(req_id=9, arrival_s=0.0, prompt_len=8,
+                          output_len=2, kind="whisper")
+        with pytest.raises(ValueError, match="without whisper_config"):
+            engine.submit([r0, whisper, r1])
+        assert engine.active_run is None
+
     def test_report_ends_the_run(self):
         engine = _engine()
         engine.submit(generate(_workload(n=4)))

@@ -50,11 +50,7 @@ def _drive(sched, max_iters=500):
         it = sched.schedule()
         assert not it.empty, "scheduler stalled"
         victim_kinds.extend(s.request.kind for s, _, _ in it.preempted)
-        for state in it.decode:
-            state.generated += 1
-            if state.done:
-                sched.finish(state)
-        for state, _ in it.steps:
+        for state, _, _ in it.steps:
             state.generated += 1
             if state.done:
                 sched.finish(state)
@@ -89,20 +85,44 @@ def test_chunked_budget_is_shared_across_types():
     it = sched.schedule()
     # One iteration's budget (8) is split between the LLM prefill chunk
     # and the Whisper encode chunk instead of serving the LLM first.
-    assert [(s.seq_id, past, n) for s, past, n in it.prefill] == [(0, 0, 4)]
     assert [(s.seq_id, name, past, n) for s, name, past, n in it.chunks] \
-        == [(1, "encode", 0, 4)]
+        == [(0, "prefill", 0, 4), (1, "encode", 0, 4)]
     assert it.num_batched_tokens == 8
     it2 = sched.schedule()
-    assert [(s.seq_id, past, n) for s, past, n in it2.prefill] == [(0, 4, 4)]
     assert [(s.seq_id, name, past, n) for s, name, past, n in it2.chunks] \
-        == [(1, "encode", 4, 4)]
+        == [(0, "prefill", 4, 4), (1, "encode", 4, 4)]
     # Third iteration: the LLM decodes while Whisper's atomic cross-KV
     # projection (t = 4 <= budget) runs in one chunk.
     it3 = sched.schedule()
-    assert [s.seq_id for s in it3.decode] == [0]
+    assert [(s.state.seq_id, s.ctx, s.spec_k) for s in it3.steps] \
+        == [(0, 8, None)]
     assert [(s.seq_id, name, past, n) for s, name, past, n in it3.chunks] \
         == [(1, "cross_project", 0, 4)]
+
+
+def test_mixed_iteration_lists_work_in_scheduling_order():
+    # One steps list and one chunks list, whatever the kind: items come
+    # out in the order the scheduler visits the running set — not LLM
+    # first.
+    sched, kv = _sched()
+    for i, (kind, prompt) in enumerate(
+            [("whisper", 4), ("llm", 4), ("denoise", 0), ("llm", 4)]):
+        sched.add_request(_state(i, kind, prompt=prompt, out=6))
+    it = sched.schedule()
+    assert [(c.state.seq_id, c.phase) for c in it.chunks] == [
+        (0, "encode"), (1, "prefill"), (3, "prefill")]
+    assert [s.state.seq_id for s in it.steps] == [2]  # KV-free first step
+    it = sched.schedule()
+    assert [(c.state.seq_id, c.phase) for c in it.chunks] == [
+        (0, "cross_project")]
+    assert [s.state.seq_id for s in it.steps] == [1, 2, 3]
+    it = sched.schedule()
+    assert [(s.state.request.kind, s.ctx, s.spec_k) for s in it.steps] == [
+        ("whisper", 0, None), ("llm", 5, None), ("denoise", 0, None),
+        ("llm", 5, None)]
+    assert [s.path for s in it.steps] == ["step", "decode", "step", "decode"]
+    assert it.chunks == []
+    assert it.num_batched_tokens == 4
 
 
 def test_atomic_cross_projection_needs_full_budget():
@@ -222,7 +242,7 @@ def test_denoise_requests_use_no_kv():
     d = _state(0, "denoise", prompt=0, out=5)
     sched.add_request(d)
     it = sched.schedule()
-    assert [(s.seq_id, ctx) for s, ctx in it.steps] == [(0, 0)]
+    assert [(s.seq_id, ctx, k) for s, ctx, k in it.steps] == [(0, 0, None)]
     assert not kv.has_sequence(0)
     _drive(sched)
     assert d.generated == 5

@@ -132,11 +132,11 @@ def test_eviction_never_drops_blocks_of_scheduled_sequence(seed, eviction):
                                      output_len=rng.randint(2, 12)))
             next_id += 1
         it = sched.schedule()
-        decoded = {s.seq_id for s in it.decode}
+        decoded = {s.state.seq_id for s in it.steps}
         preempted = {s.seq_id for s, _, _ in it.preempted}
         assert not decoded & preempted
         # Every decoded sequence still owns its blocks after planning.
-        for state in it.decode:
+        for state, _, _ in it.steps:
             assert kv.has_sequence(state.seq_id)
             assert kv.length(state.seq_id) >= 1
         # Exact accounting at every step.
@@ -147,11 +147,11 @@ def test_eviction_never_drops_blocks_of_scheduled_sequence(seed, eviction):
         )
         assert kv.allocator.num_used == tracked + 1  # + padding block
         # Tick: pretend every scheduled token completed.
-        for state in list(it.decode):
+        for state, _, _ in it.steps:
             state.generated += 1
             if state.done:
                 sched.finish(state)
-        for state, _, _ in it.prefill:
+        for state, _, _, _ in it.chunks:
             if (state.phase is Phase.DECODE and state.generated == 0):
                 state.generated = 1
                 if state.done:
