@@ -15,6 +15,12 @@ shared page go through copy-on-write (:meth:`BlockAllocator.fork_for_write`):
 the writer trades its reference for a private copy, never mutating pages
 other owners still read.
 
+The allocator notifies, the prefix cache never polls: whenever a block's
+refcount crosses 1 <-> 2 (it becomes shared, or is back to one owner)
+:class:`BlockAllocator` calls ``on_shared(block, shared)``, which an
+attached :class:`~repro.serve.prefix_cache.PrefixCache` registers to
+keep its evictable count current.
+
 Appends are copy-free in the vLLM sense: growing a sequence never moves
 existing pages; at most one new block is allocated (plus one COW fork
 when the tail page is shared) and the block table gains one entry.
@@ -23,7 +29,7 @@ when the tail page is shared) and the block table gains one entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +56,10 @@ class BlockAllocator:
     block with one reference, :meth:`share` adds an owner, :meth:`free`
     drops one; the block rejoins the free list only at zero references.
     :meth:`fork_for_write` is the copy-on-write primitive.
+
+    ``on_shared(block, shared)``, when set, is called after a committed
+    refcount change took ``block`` from one reference to two
+    (``shared=True``) or from two back to one (``shared=False``).
     """
 
     def __init__(self, num_blocks: int):
@@ -60,6 +70,7 @@ class BlockAllocator:
         # 0, 1, 2, ... in order.
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         self._refcount: Dict[int, int] = {}
+        self.on_shared: Optional[Callable[[int, bool], None]] = None
         # Cumulative reference-traffic counters.  Plain ints bumped on
         # every operation (cheap) but only ever *serialized* behind the
         # telemetry flag — they must not perturb the telemetry-off
@@ -98,11 +109,14 @@ class BlockAllocator:
 
     def share(self, block: int) -> int:
         """Add one owner to an allocated block; returns the new refcount."""
-        if block not in self._refcount:
+        refs = self._refcount.get(block)
+        if refs is None:
             raise CacheError(f"share of unallocated block {block}")
-        self._refcount[block] += 1
+        self._refcount[block] = refs = refs + 1
         self.shares_total += 1
-        return self._refcount[block]
+        if refs == 2 and self.on_shared is not None:
+            self.on_shared(block, True)
+        return refs
 
     def free(self, block: int) -> int:
         """Drop one reference; returns refs remaining (0 = back in pool)."""
@@ -117,20 +131,28 @@ class BlockAllocator:
             self.freed_total += 1
         else:
             self._refcount[block] = refs
+            if refs == 1 and self.on_shared is not None:
+                self.on_shared(block, False)
         return refs
 
     def fork_for_write(self, block: int) -> int:
         """Copy-on-write: a block owned exclusively is returned unchanged;
         a shared one trades this owner's reference for a freshly allocated
-        private block (the caller copies the page payload over)."""
+        private block (the caller copies the page payload over).
+
+        All-or-nothing: with the free list empty it raises
+        :class:`OutOfBlocks` and the caller still holds its reference."""
         refs = self._refcount.get(block)
         if refs is None:
             raise CacheError(f"fork_for_write of unallocated block {block}")
         if refs == 1:
             return block
+        fresh = self.allocate()  # raises before the reference is traded
         self._refcount[block] = refs - 1
         self.ref_drops_total += 1
-        return self.allocate()
+        if refs == 2 and self.on_shared is not None:
+            self.on_shared(block, False)
+        return fresh
 
     def check_no_leaks(self, expected_used: int = 0,
                        expected_refs: Optional[int] = None) -> None:
@@ -330,6 +352,11 @@ class PagedKVCache:
                 f"attach_shared: {num_tokens} tokens do not fit "
                 f"{len(blocks)} blocks of {self.page_size}"
             )
+        for block in blocks:
+            # Checked up front: a bad id mid-list must not leave the
+            # earlier blocks shared with a sequence that owns nothing.
+            if not self.allocator.refcount(block):
+                raise CacheError(f"share of unallocated block {block}")
         for block in blocks:
             self.allocator.share(block)
         seq.blocks = list(blocks)

@@ -26,11 +26,22 @@ node, so a refcount-1 node can sit above a block a live sequence still
 shares.  Peeling leaves never reaches such a node until the sequence
 lets go, and :meth:`evictable_count` does not count it.  LRU order is
 deterministic: nodes carry a logical touch tick, ties break on block id.
+
+Evictability is *maintained*, never re-derived.  Every node carries
+``pins`` = (1 if its block is shared, i.e. refcount != 1) + (children
+with ``pins > 0``); a node is evictable iff ``pins == 0``.  The cache
+never polls refcounts: it registers ``allocator.on_shared`` and the
+allocator tells it when a block crosses refcount 1 <-> 2 — the only
+refcount change that can move ``pins`` — which, with :meth:`insert` and
+leaf eviction, is every event that changes the evictable set.  Victims
+come off a lazy min-heap of ``(last_use, block)`` entries, pushed when a
+node becomes an evictable leaf and validated when popped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kv_cache import CacheError, PagedKVCache
@@ -76,16 +87,16 @@ class PrefixCacheStats:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class _Node:
     key: Tuple[int, ...]
     block: int
     parent: Optional["_Node"]
     children: Dict[Tuple[int, ...], "_Node"] = field(default_factory=dict)
     last_use: int = 0
-    #: Scratch for :meth:`PrefixCache.evictable_count`: the number of the
-    #: last walk that found a shared block in this node's subtree.
-    walk: int = 0
+    #: (1 if ``block`` is shared) + (children with ``pins > 0``); the node
+    #: is evictable iff this is 0 (module docstring).
+    pins: int = 0
 
 
 class PrefixCache:
@@ -97,14 +108,24 @@ class PrefixCache:
         self.kv = kv
         self.allocator = kv.allocator
         self.page_size = kv.page_size
-        self._root = _Node(key=(), block=-1, parent=None)
+        # The root is pinned for good, so every upward walk ends there.
+        self._root = _Node(key=(), block=-1, parent=None, pins=1)
+        self._by_block: Dict[int, _Node] = {}
+        #: Nodes with ``pins == 0``.
+        self._evictable = 0
+        #: Lazy min-heap of ``(last_use, block)``: every evictable leaf has
+        #: an entry carrying its current ``last_use``; any other entry is
+        #: stale and dropped when popped.
+        self._lru: List[Tuple[int, int]] = []
         self._tick = 0
         self.stats = PrefixCacheStats()
         kv.prefix_cache = self
+        self.allocator.on_shared = self._on_shared
 
     # -- structure queries ------------------------------------------------------
 
     def _nodes(self) -> List[_Node]:
+        """Every node, by walking the trie (teardown and audits only)."""
         out: List[_Node] = []
         stack = list(self._root.children.values())
         while stack:
@@ -115,7 +136,7 @@ class PrefixCache:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes())
+        return len(self._by_block)
 
     def cached_blocks(self) -> List[int]:
         return [n.block for n in self._nodes()]
@@ -126,25 +147,65 @@ class PrefixCache:
         :meth:`reclaim` would return for an unbounded ``need``.  A
         cache-only node above a block some sequence still shares (module
         docstring) is not counted.  Blocks in ``exclude`` count as shared."""
-        skip = set(exclude)
-        refcount = self.allocator.refcount
-        self._root.walk = walk = self._root.walk + 1
-        total = pinned = 0
-        stack = list(self._root.children.values())
-        while stack:
-            node = stack.pop()
-            total += 1
-            if node.children:
-                stack.extend(node.children.values())
-            block = node.block
-            if refcount(block) != 1 or block in skip:
-                # Pin the path to the root, stopping where an earlier
-                # shared block already pinned it (the root always has).
-                while node.walk != walk:
-                    node.walk = walk
-                    pinned += 1
+        count = self._evictable
+        if exclude:
+            # Sharing a block pins the evictable nodes from it up to its
+            # first pinned ancestor, each lost once.
+            lost = set()
+            for block in exclude:
+                node = self._by_block.get(block, self._root)
+                while node.pins == 0 and node not in lost:
+                    lost.add(node)
                     node = node.parent
-        return total - pinned
+            count -= len(lost)
+        return count
+
+    # -- maintained evictability ------------------------------------------------
+
+    def _on_shared(self, block: int, shared: bool) -> None:
+        """Allocator callback: ``block`` crossed refcount 1 -> 2
+        (``shared``) or 2 -> 1."""
+        node = self._by_block.get(block)
+        if node is not None:
+            if shared:
+                self._pin(node)
+            else:
+                self._unpin(node)
+
+    def _pin(self, node: _Node) -> None:
+        """One more pin on ``node``; a node that was evictable until now
+        stops being so and pins its parent in turn."""
+        while True:
+            node.pins += 1
+            if node.pins != 1:
+                return
+            self._evictable -= 1
+            node = node.parent
+
+    def _unpin(self, node: _Node) -> None:
+        """One pin less; a node left with none is evictable again (a
+        leaf is queued for eviction) and unpins its parent in turn."""
+        while True:
+            node.pins -= 1
+            if node.pins:
+                return
+            self._evictable += 1
+            if not node.children:
+                self._queue(node)
+            node = node.parent
+
+    def _queue(self, node: _Node) -> None:
+        """``node`` just became an evictable leaf, or is one and its
+        ``last_use`` changed: give it a valid heap entry."""
+        lru = self._lru
+        if len(lru) > 2 * len(self._by_block) + 16:
+            # Mostly stale entries (a pool that is never short pops
+            # none): rebuild from the evictable leaves, ``node`` included.
+            lru[:] = [(n.last_use, n.block) for n in self._by_block.values()
+                      if not n.children and not n.pins]
+            heapify(lru)
+        else:
+            heappush(lru, (node.last_use, node.block))
 
     # -- lookup / attach --------------------------------------------------------
 
@@ -193,11 +254,12 @@ class PrefixCache:
             if matched:
                 self.stats.hits += 1
         if matched:
-            self._tick += 1
-            path = self._walk(tokens)
-            for node in path[: len(blocks)]:
-                node.last_use = self._tick
+            # Share first: every touched node is pinned from here until
+            # its release re-queues it under the new tick.
             self.kv.attach_shared(seq_id, blocks, matched)
+            self._tick += 1
+            for block in blocks:
+                self._by_block[block].last_use = self._tick
         return matched
 
     def record_miss(self, requested_tokens: int) -> None:
@@ -223,12 +285,19 @@ class PrefixCache:
             chunk = tuple(tokens[i * page: (i + 1) * page])
             node = cur.children.get(chunk)
             if node is None:
+                # The publishing sequence keeps its reference, so a new
+                # node starts shared.  The allocator's callback for this
+                # very share (if it crossed 1 -> 2) found no node yet.
                 self.allocator.share(block)
-                node = _Node(key=chunk, block=block, parent=cur)
+                node = _Node(key=chunk, block=block, parent=cur, pins=1)
                 cur.children[chunk] = node
+                self._by_block[block] = node
+                self._pin(cur)
                 created += 1
             node.last_use = self._tick
             cur = node
+        if not cur.children and not cur.pins:
+            self._queue(cur)
         if created:
             self.stats.inserts += created
             self.kv._note_usage()
@@ -240,31 +309,30 @@ class PrefixCache:
         """Free up to ``need`` cached blocks, least-recently-used leaves
         first; returns how many actually went back to the pool."""
         freed = 0
-        while freed < need:
-            victim: Optional[_Node] = None
-            for node in self._nodes():
-                if node.children:
-                    continue
-                if self.allocator.refcount(node.block) != 1:
-                    continue
-                if victim is None or (
-                    (node.last_use, node.block)
-                    < (victim.last_use, victim.block)
-                ):
-                    victim = node
-            if victim is None:
-                break
+        lru = self._lru
+        while freed < need and lru:
+            last_use, block = heappop(lru)
+            victim = self._by_block.get(block)
+            if (victim is None or victim.children or victim.pins
+                    or victim.last_use != last_use):
+                continue  # stale entry
             self._remove(victim)
-            self.allocator.free(victim.block)
+            self.allocator.free(block)
             self.stats.evictions += 1
             freed += 1
         return freed
 
     def _remove(self, node: _Node) -> None:
+        """Unlink an evictable leaf (the caller frees its block)."""
         if node.children:
             raise CacheError("evicting an interior prefix-cache node")
-        assert node.parent is not None
-        del node.parent.children[node.key]
+        parent = node.parent
+        assert parent is not None and not node.pins
+        del parent.children[node.key]
+        del self._by_block[node.block]
+        self._evictable -= 1
+        if not parent.children and not parent.pins:
+            self._queue(parent)
 
     def clear(self) -> int:
         """Drop every cached block (end-of-run teardown); returns count.
@@ -279,4 +347,7 @@ class PrefixCache:
         for node in nodes:
             self.allocator.free(node.block)
         self._root.children.clear()
+        self._by_block.clear()
+        self._lru.clear()
+        self._evictable = 0
         return len(nodes)

@@ -56,9 +56,11 @@ class Phase(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestState:
-    """Scheduler-side view of one request's progress."""
+    """Scheduler-side view of one request's progress.  A request is an
+    entity: states compare (and ``running`` membership tests) by
+    identity, not field by field."""
 
     request: Request
     metrics: RequestMetrics

@@ -225,6 +225,41 @@ def test_fork_for_write_semantics():
     alloc.check_no_leaks()
 
 
+def test_failed_fork_for_write_keeps_the_callers_reference():
+    """With the free list empty the fork used to drop the caller's
+    reference and *then* raise: the caller's block table still named the
+    block, so its eventual release over-freed it."""
+    alloc = BlockAllocator(2)
+    blk, other = alloc.allocate(), alloc.allocate()
+    alloc.share(blk)
+    crossings = []
+    alloc.on_shared = lambda block, shared: crossings.append((block, shared))
+    with pytest.raises(OutOfBlocks):
+        alloc.fork_for_write(blk)
+    assert alloc.refcount(blk) == 2
+    assert alloc.ref_drops_total == 0
+    assert crossings == []  # nothing was committed, nobody is told
+    alloc.free(other)
+    assert alloc.fork_for_write(blk) == other  # LIFO: the block just freed
+    assert crossings == [(blk, False)]
+    alloc.free(blk)
+    alloc.free(other)
+    alloc.check_no_leaks()
+
+
+def test_allocator_reports_only_one_two_crossings():
+    alloc = BlockAllocator(4)
+    crossings = []
+    alloc.on_shared = lambda block, shared: crossings.append((block, shared))
+    blk = alloc.allocate()
+    alloc.share(blk)          # 1 -> 2
+    alloc.share(blk)          # 2 -> 3: still shared, no news
+    alloc.free(blk)           # 3 -> 2
+    alloc.free(blk)           # 2 -> 1
+    alloc.free(blk)           # 1 -> 0: the last owner let go itself
+    assert crossings == [(blk, True), (blk, False)]
+
+
 def test_check_no_leaks_catches_leaked_shared_block():
     alloc = BlockAllocator(4)
     blk = alloc.allocate()
@@ -302,6 +337,12 @@ def test_attach_shared_rejects_bad_calls():
     kv.add_sequence(1)
     with pytest.raises(CacheError):
         kv.attach_shared(1, blocks, 5)  # 5 tokens don't fit 1 block
+    with pytest.raises(CacheError):
+        # A bad id mid-list used to raise after the good block was shared:
+        # a leaked reference on a sequence that owns nothing.
+        kv.attach_shared(1, blocks + [7], 8)
+    assert kv.blocks(1) == [] and kv.length(1) == 0
+    assert kv.allocator.refcount(blocks[0]) == 1
     kv.append(1, 1)
     with pytest.raises(CacheError):
         kv.attach_shared(1, blocks, 4)  # non-empty sequence
