@@ -79,11 +79,10 @@ def _compile(key: Tuple, mod, device: Device, bounds: Dict[str, int],
     return built
 
 
-def _steady_time(vm, fn: str, *args, warmup: int = 1) -> float:
-    """Steady-state simulated time of one ``fn`` call: warm (graph
+def _steady_time(vm, fn: str, *args) -> float:
+    """Steady-state simulated time of one ``fn`` call: warm once (graph
     capture, pool growth), reset the stats, run once more."""
-    for _ in range(max(warmup, 0)):
-        vm.run(fn, *args)
+    vm.run(fn, *args)
     vm.reset_stats()
     vm.run(fn, *args)
     return vm.stats.time_s
@@ -165,14 +164,14 @@ class RelaxLLM:
     def run_prefill(self, batch: int, seq: int, past: int = 0) -> None:
         self.vm.run("prefill", *self._step_args(batch, seq, past))
 
-    def decode_step_time(self, batch: int, context: int, warmup: int = 1) -> float:
+    def decode_step_time(self, batch: int, context: int) -> float:
         """Steady-state simulated time of one decode step."""
         return _steady_time(self.vm, "decode",
-                            *self._step_args(batch, 1, context), warmup=warmup)
+                            *self._step_args(batch, 1, context))
 
-    def prefill_time(self, batch: int, seq: int, warmup: int = 1) -> float:
+    def prefill_time(self, batch: int, seq: int) -> float:
         return _steady_time(self.vm, "prefill",
-                            *self._step_args(batch, seq, 0), warmup=warmup)
+                            *self._step_args(batch, seq, 0))
 
     def decode_throughput(self, batch: int, context: int) -> float:
         """Tokens per second per sequence at steady state."""
@@ -186,12 +185,12 @@ class RelaxLLM:
         return ProfileReport.from_vm(self.vm)
 
     def op_profile(self, batch: int, context: int, *, fn: str = "decode",
-                   seq: int = 16, warmup: int = 1):
+                   seq: int = 16):
         """Trace one steady-state step on a *fresh* profiler VM.
 
         Builds a :class:`repro.obs.VirtualMachineProfiler` from the same
         executable (``self.vm`` and its captured graphs are untouched, so
-        cached runners stay bit-identical), warms it, then records one
+        cached runners stay bit-identical), warms it once, then records one
         ``fn`` step.  Returns the profiler VM; pull ``op_table()``,
         ``memory_timeline()`` or ``export_chrome_trace()`` off it.
         """
@@ -204,8 +203,7 @@ class RelaxLLM:
         if fn not in ("decode", "prefill"):
             raise ValueError(f"unknown function {fn!r}")
         args = self._step_args(batch, 1 if fn == "decode" else seq, context)
-        for _ in range(max(warmup, 0)):
-            pvm.run(fn, *args)
+        pvm.run(fn, *args)
         pvm.reset()
         pvm.run(fn, *args)
         return pvm

@@ -9,9 +9,11 @@ N identical devices connected by a modeled interconnect:
 * :mod:`repro.dist.interconnect` — :class:`Interconnect` link cost model
   (ring all-reduce / all-gather / reduce-scatter / broadcast) with
   NVLink-class and PCIe-class presets.
-* :mod:`repro.dist.mesh` — :class:`MeshExecutor`, N per-shard VMs in
-  lockstep on the shared analytical clock, plus the barrier-synchronized
-  :class:`CollectiveChannel` used by concrete (value-computing) meshes.
+* :mod:`repro.dist.mesh` — :class:`MeshExecutor`, one SPMD executable
+  on an N-device mesh on the shared analytical clock: a single VM when
+  abstract (every rank accounts the same numbers), one VM per rank on
+  threads over the barrier-synchronized :class:`CollectiveChannel` when
+  concrete (value-computing).
 
 The IR-level pieces live where their layers live: ``ccl.*`` collective
 ops in :mod:`repro.ops.ccl`, the ``PropagateSharding`` /

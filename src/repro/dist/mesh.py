@@ -1,28 +1,25 @@
-"""Multi-device analytical runtime: N per-shard VMs in lockstep.
+"""Multi-device analytical runtime: an SPMD mesh on one lockstep clock.
 
-A :class:`MeshExecutor` owns one :class:`~repro.runtime.vm.VirtualMachine`
-per shard, all interpreting the *same* SPMD executable (the sharding
-passes emit one program; only weights and KV pools differ per rank).
-Each VM carries a :class:`MeshContext` naming its rank, and the shared
-:class:`~repro.dist.interconnect.Interconnect` that the ``ccl.*``
-builtins charge.
+A :class:`MeshExecutor` runs one SPMD executable (the sharding passes
+emit one program; only weights and KV pools differ per rank) on a mesh
+of ``world`` identical devices.  Every VM it owns carries a
+:class:`MeshContext` and the shared :class:`Interconnect` the ``ccl.*``
+builtins charge: every rank charges the same modeled ring time, which is
+how a barrier behaves — nobody leaves before the slowest hop.
 
-**Clock discipline.**  Every :meth:`MeshExecutor.run` is a lockstep
-iteration: all shards execute the function, then the executor applies
-the synchronization barrier — every shard's clock advances to the max
-over shards.  Collective costs are charged *inside* the run by the
-builtins (every shard charges the same modeled ring time, which is how
-a barrier behaves: nobody leaves the collective before the slowest
-hop).  Under SPMD the per-shard costs are identical, so the barrier is
-observably a no-op — but it is what makes the model honest when shards
-diverge (e.g. rank-dependent workloads later).
+**Abstract mode** (serving, benchmarks; also a concrete world of 1) is
+*one* VM.  Values never exist, an abstract collective does not read the
+rank, and every rank is handed the same shapes, so every rank's stats
+are the same numbers; :meth:`ExecutionStats.merge_parallel` takes the
+max of each float field and the sum (``peak_bytes``: the max) of each
+integer field, so merging that one VM's stats once per rank is exactly
+what ``world`` separately interpreted shards merge to.
 
-**Modes.**  Abstract mode (serving, benchmarks) runs shards
-sequentially — values never exist, so no rendezvous is needed and the
-simulation stays single-threaded and cheap.  Concrete mode (correctness
-tests) runs shards on real threads synchronized by a barrier-based
-:class:`CollectiveChannel`; the combine order is fixed (rank 0..N−1) so
-results are deterministic to the last bit.
+**Concrete mode** (correctness tests, the only mode that computes
+values) runs one VM per rank on real threads synchronized by a
+barrier-based :class:`CollectiveChannel`; the combine order is fixed
+(rank 0..N−1) so results are deterministic to the last bit, and after
+every run each rank's clock advances to the max over ranks.
 """
 
 from __future__ import annotations
@@ -32,8 +29,11 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..runtime.profiler import ExecutionStats
-from ..runtime.vm import PlanCacheInfo, VirtualMachine, VMError
+from ..runtime.vm import PlanCacheInfo, VirtualMachine, VMError, _describe
 from .interconnect import Interconnect
+
+#: How long a rank waits at a collective for its peers before giving up.
+_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -53,23 +53,22 @@ class CollectiveChannel:
     then computes the combined result independently (same inputs, same
     order — bitwise identical).  A second barrier keeps slot reuse safe
     for the next collective.  A failing shard aborts the barrier so
-    peers fail fast instead of deadlocking.
+    peers fail fast instead of deadlocking; ``reset`` re-arms it.
     """
 
-    def __init__(self, world: int, timeout_s: float = 60.0):
+    def __init__(self, world: int):
         if world < 2:
             raise ValueError("a collective channel needs world >= 2")
         self.world = world
-        self._timeout = timeout_s
         self._barrier = threading.Barrier(world)
         self._contrib: List[Any] = [None] * world
 
     def exchange(self, rank: int, value) -> List[Any]:
         self._contrib[rank] = value
         try:
-            self._barrier.wait(self._timeout)
+            self._barrier.wait(_TIMEOUT_S)
             chunks = list(self._contrib)
-            self._barrier.wait(self._timeout)
+            self._barrier.wait(_TIMEOUT_S)
         except threading.BrokenBarrierError:
             raise VMError("collective aborted: a peer shard failed")
         return chunks
@@ -77,29 +76,12 @@ class CollectiveChannel:
     def abort(self) -> None:
         self._barrier.abort()
 
-
-class _MeshTracer:
-    """Tracer facade over a mesh: single-VM consumers (engine telemetry)
-    read the representative shard-0 stream; ``clear`` resets every
-    shard so nothing accumulates unobserved."""
-
-    capture_outputs = False
-
-    def __init__(self, mesh: "MeshExecutor"):
-        self._mesh = mesh
-
-    @property
-    def events(self):
-        return self._mesh.vms[0].tracer.events
-
-    def clear(self) -> None:
-        for vm in self._mesh.vms:
-            if vm.tracer is not None:
-                vm.tracer.clear()
+    def reset(self) -> None:
+        self._barrier.reset()
 
 
 class MeshExecutor:
-    """N per-shard VMs over one SPMD executable on a shared clock."""
+    """One SPMD executable on a mesh of ``world`` devices, one clock."""
 
     def __init__(
         self,
@@ -120,8 +102,10 @@ class MeshExecutor:
         self.channel = (
             CollectiveChannel(world) if (concrete and world > 1) else None
         )
+        #: One VM per rank when a channel exists; otherwise a single VM
+        #: that stands for every rank (``len(vms) == 1``, not ``world``).
         self.vms: List[VirtualMachine] = []
-        for rank in range(world):
+        for rank in range(world if self.channel is not None else 1):
             vm = VirtualMachine(
                 executable, device, concrete=concrete,
                 enable_cuda_graph=enable_cuda_graph,
@@ -129,38 +113,42 @@ class MeshExecutor:
             vm.mesh = MeshContext(rank, world, self.channel)
             vm.interconnect = interconnect if world > 1 else None
             self.vms.append(vm)
-        # SPMD shards account identically — same executable, device,
-        # interconnect and world, and an abstract collective does not read
-        # the rank — so one replay-plan table serves them all: what rank 0
-        # interprets, ranks 1..N-1 replay.
-        for vm in self.vms[1:]:
-            vm.replay_plans = self.vms[0].replay_plans
+
+    @property
+    def _rank_vms(self) -> List[VirtualMachine]:
+        """The VM that accounts for each rank (rank order)."""
+        return self.vms * (self.world // len(self.vms))
 
     # -- execution ---------------------------------------------------------------
 
     def run(self, func_name: str, shard_args: Sequence[Sequence]) -> List:
-        """One lockstep iteration: run ``func_name`` on every shard with
+        """One lockstep iteration: run ``func_name`` on every rank with
         its own argument list; returns per-rank results (rank order)."""
         if len(shard_args) != self.world:
             raise ValueError(
                 f"expected {self.world} per-shard argument lists, "
                 f"got {len(shard_args)}"
             )
-        if self.channel is None:
-            # Sequential: abstract shards never rendezvous on values, and
-            # a world-1 mesh is just a single VM.
-            outs = [
-                vm.run(func_name, *args)
-                for vm, args in zip(self.vms, shard_args)
-            ]
-        else:
+        if self.channel is not None:
             outs = self._run_threaded(func_name, shard_args)
-        self._sync_clock()
-        return outs
+            self._sync_clock()
+            return outs
+        # One VM stands for every rank, which holds only if every rank
+        # was handed the same shapes.
+        first = shard_args[0]
+        if any(args is not first for args in shard_args):
+            shapes = [_describe(args) for args in shard_args]
+            if None in shapes or shapes.count(shapes[0]) != self.world:
+                raise ValueError(
+                    f"{func_name}: an abstract mesh needs the same shapes "
+                    f"on every rank")
+        return [self.vms[0].run(func_name, *first)] * self.world
 
     def _run_threaded(self, func_name: str, shard_args) -> List:
         results: List = [None] * self.world
         errors: List[Optional[BaseException]] = [None] * self.world
+        # A run that failed left the barrier aborted.
+        self.channel.reset()
 
         def worker(rank: int) -> None:
             try:
@@ -190,7 +178,7 @@ class MeshExecutor:
         return results
 
     def _sync_clock(self) -> None:
-        """Lockstep barrier: every shard's clock advances to the max."""
+        """Lockstep barrier: every rank's clock advances to the max."""
         t = max(vm.stats.time_s for vm in self.vms)
         for vm in self.vms:
             vm.stats.time_s = t
@@ -199,47 +187,38 @@ class MeshExecutor:
 
     @property
     def shard_stats(self) -> List[ExecutionStats]:
-        """The live per-shard stats objects (rank order)."""
-        return [vm.stats for vm in self.vms]
+        """The live per-rank stats objects (rank order); on an abstract
+        mesh the one VM's stats object, once per rank."""
+        return [vm.stats for vm in self._rank_vms]
 
     @property
     def stats(self) -> ExecutionStats:
-        """Cluster view on the lockstep clock: wall-time fields take the
-        max over shards, event counters and byte totals sum, and
-        ``peak_bytes`` is the per-device high-water mark (each shard has
-        its own VRAM) — the same conventions a multi-GPU profiler uses.
-        Returns a fresh snapshot; window metering works exactly as with
-        a single VM (``stats.copy()`` / ``stats.delta()``).  The combine
-        semantics (wall-time max, counter sum) live in
-        :meth:`ExecutionStats.merge_parallel`, shared with the serving
-        cluster's fleet aggregation."""
+        """Cluster view on the lockstep clock, combined by
+        :meth:`ExecutionStats.merge_parallel` (wall-time max, counter
+        sum, per-device ``peak_bytes``; shared with the serving cluster's
+        fleet aggregation).  Returns a fresh snapshot; window metering
+        works exactly as with a single VM (``stats.copy()`` /
+        ``stats.delta()``)."""
         return ExecutionStats.merge_parallel(self.shard_stats)
 
     # -- tracing -----------------------------------------------------------------
 
     @property
     def tracer(self):
-        return None if self.vms[0].tracer is None else _MeshTracer(self)
+        """Rank 0's recorder: the representative stream."""
+        return self.vms[0].tracer
 
     @tracer.setter
     def tracer(self, value) -> None:
-        if value is None:
-            for vm in self.vms:
-                vm.tracer = None
-        elif isinstance(value, _MeshTracer):
-            pass  # restoring the facade: per-shard recorders already live
-        else:
-            # One recorder per shard: rank 0 keeps the caller's object so
-            # single-VM consumers see the representative stream.
-            self.vms[0].tracer = value
-            for vm in self.vms[1:]:
-                vm.tracer = type(value)()
+        self.vms[0].tracer = value
+        for vm in self.vms[1:]:
+            vm.tracer = None if value is None else type(value)()
 
     def merged_events(self) -> List[Tuple[int, Any]]:
         """Provenance-preserving merged trace: ``(rank, event)`` pairs
-        from every shard's recorder, ordered by timestamp then rank."""
+        from every rank's recorder, ordered by timestamp then rank."""
         merged: List[Tuple[int, Any]] = []
-        for rank, vm in enumerate(self.vms):
+        for rank, vm in enumerate(self._rank_vms):
             if vm.tracer is not None:
                 merged.extend((rank, e) for e in vm.tracer.events)
         merged.sort(key=lambda re: (re[1].ts_s, re[0]))
@@ -283,14 +262,9 @@ class MeshVM:
         return before
 
     def plan_cache_info(self) -> PlanCacheInfo:
-        """Replay-plan counters summed over the shards; a table the
-        shards share counts its plans once."""
-        vms = self.mesh.vms
-        hits, misses, _, interpreted = map(sum, zip(
-            *(vm.plan_cache_info() for vm in vms)))
-        tables = {id(vm.replay_plans): vm.replay_plans for vm in vms}
-        return PlanCacheInfo(hits, misses, sum(map(len, tables.values())),
-                             interpreted)
+        """Replay-plan counters summed over the mesh's VMs."""
+        return PlanCacheInfo(*map(sum, zip(
+            *(vm.plan_cache_info() for vm in self.mesh.vms))))
 
     @property
     def tracer(self):
@@ -299,13 +273,3 @@ class MeshVM:
     @tracer.setter
     def tracer(self, value) -> None:
         self.mesh.tracer = value
-
-    def check_no_leaks(self) -> None:
-        """Per-shard pool audit: SPMD ranks must balance allocations
-        identically — any asymmetry means a shard leaked (or double
-        freed) relative to its peers."""
-        residents = [vm.stats.current_bytes for vm in self.mesh.vms]
-        if len(set(residents)) > 1:
-            raise VMError(
-                f"per-shard pools diverged: resident bytes {residents}"
-            )

@@ -291,8 +291,8 @@ class _PlanRecorder:
         self.ops = array("q")
         self.times = array("d")
         self.storages: List[Tuple] = []
-        #: Set when the call was a graph replay (the capture key it hit).
-        self.graph_key: Optional[Tuple] = None
+        #: Set when the call was a graph replay.
+        self.graph_replay = False
         self._run = -1  # where in ``ops`` the open kernel run keeps its count
 
     def kernel(self, time: float) -> None:
@@ -341,8 +341,8 @@ class _Unrecordable(Exception):
 class _Plan(NamedTuple):
     #: The function the plan was recorded from (an executable is mutable).
     func: "VMFunction"
-    #: The capture key of the graph a replay-mode plan replays, else None.
-    graph_key: Optional[Tuple]
+    #: Whether the recorded call was a graph replay.
+    graph_replay: bool
     ops: array
     times: array
     storages: Tuple[Tuple, ...]
@@ -355,8 +355,7 @@ class _Plan(NamedTuple):
 class ReplayPlans:
     """Replay plans recorded under one ``context``: the executable, device,
     library registry, interconnect and mesh world — everything besides the
-    call's own signature that abstract accounting reads.  The shard VMs of
-    a mesh share one table (abstract collectives do not read the rank)."""
+    call's own signature that abstract accounting reads."""
 
     def __init__(self, context: Tuple):
         self.context = context
@@ -364,8 +363,8 @@ class ReplayPlans:
         self._interned: Dict[Tuple, Tuple] = {}
 
     def intern(self, value: Tuple) -> Tuple:
-        """One object per distinct argument description, storage op,
-        capture key or result tensor: plans repeat the same few."""
+        """One object per distinct argument description, storage op or
+        result tensor: plans repeat the same few."""
         return self._interned.setdefault(value, value)
 
     def __len__(self) -> int:
@@ -478,10 +477,7 @@ class VirtualMachine:
         key = (func_name, replays, *sig)
         table = self.replay_plans
         plan = table.plans.get(key)
-        # A replay-mode plan also needs *this* VM to have captured the
-        # graph: a mesh peer may have recorded it.
-        if plan is not None and plan.func is func and (
-                plan.graph_key is None or plan.graph_key in self._graph_cache):
+        if plan is not None and plan.func is func:
             self._plan_hits += 1
             return self._apply_plan(plan)
 
@@ -518,7 +514,7 @@ class VirtualMachine:
 
         A table recorded under another device, registry, interconnect,
         executable or mesh world is never consulted: it is replaced by an
-        empty one here.  Assign a peer's table to share it.
+        empty one here.
         """
         mesh = self.mesh
         context = (self.exe, self.device, self.registry, self.interconnect,
@@ -527,10 +523,6 @@ class VirtualMachine:
         if table is None or table.context != context:
             table = self._plans = ReplayPlans(context)
         return table
-
-    @replay_plans.setter
-    def replay_plans(self, table: ReplayPlans) -> None:
-        self._plans = table
 
     def plan_cache_info(self) -> PlanCacheInfo:
         """Replay-plan counters of this VM (diagnostic; in no report)."""
@@ -560,11 +552,8 @@ class VirtualMachine:
                 template = self._result_template(table, result, args)
             except _Unrecordable:
                 return result
-            graph_key = recorder.graph_key
             table.plans[key] = _Plan(
-                func,
-                None if graph_key is None else table.intern(graph_key),
-                recorder.ops, recorder.times,
+                func, recorder.graph_replay, recorder.ops, recorder.times,
                 tuple(map(table.intern, recorder.storages)),
                 stats.kernel_launches - counts[0],
                 stats.lib_calls - counts[1],
@@ -668,7 +657,7 @@ class VirtualMachine:
         stats.kernel_time_s = kernel_s
         stats.comm_time_s = comm_s
         launches = plan.kernel_launches + plan.lib_calls
-        if plan.graph_key is None:
+        if not plan.graph_replay:
             launch_s = stats.launch_overhead_s
             overhead = self.device.kernel_launch_overhead
             for _ in range(launches):
@@ -702,7 +691,7 @@ class VirtualMachine:
             key = (func_name, self._graph_signature(func, args))
             if key in self._graph_cache:
                 if self._recorder is not None:
-                    self._recorder.graph_key = key
+                    self._recorder.graph_replay = True
                 return self._run_replayed(func, args)
             # First run with this shape signature: capture.  A capture
             # happens once, so it is never what a replay plan holds.

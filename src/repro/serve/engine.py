@@ -95,18 +95,24 @@ class _RunState:
         self.ctl_cap = ctl_cap
 
 
+#: Cap on a KV pool sized from the device's VRAM.
+_MAX_KV_BLOCKS = 4096
+#: Fraction of post-weights VRAM granted to the KV pool.
+_KV_MEMORY_FRACTION = 0.9
+#: Host-link bandwidth for swap preemption (bytes/s).  PCIe 4.0 x16
+#: ballpark; the analytical device model does not model the host link.
+_HOST_LINK_BANDWIDTH = 16e9
+#: Acceptance-rate band of the adaptive speculation controller
+#: (``SpecConfig.adaptive``): below it the width shrinks, above it grows.
+_ADAPT_LOW, _ADAPT_HIGH = 0.5, 0.8
+
+
 @dataclass
 class EngineConfig:
     page_size: int = 16
     #: KV blocks in the device pool; ``None`` sizes the pool from the
-    #: device's VRAM minus weights, capped at ``max_kv_blocks``.
+    #: device's VRAM minus weights, capped at 4096 blocks.
     num_blocks: Optional[int] = None
-    max_kv_blocks: int = 4096
-    #: Fraction of post-weights VRAM granted to the KV pool.
-    kv_memory_fraction: float = 0.9
-    #: Host-link bandwidth for swap preemption (bytes/s).  PCIe 4.0 x16
-    #: ballpark; the analytical device model does not model the host link.
-    host_link_bandwidth: float = 16e9
     #: Share prompt-prefix KV blocks across requests (radix prefix cache).
     enable_prefix_caching: bool = True
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
@@ -249,12 +255,12 @@ class ServingEngine:
             # The draft model's weights live in the same VRAM budget.
             weights += self.draft.exported.param_bytes()
         budget = (self.device.vram_bytes - weights)
-        budget = int(budget * self.econfig.kv_memory_fraction)
+        budget = int(budget * _KV_MEMORY_FRACTION)
         # Per-device budget against per-device block bytes: sharded pools
         # hold h_kv/tp heads per page (and `weights` is already the
         # per-rank slice), so TP frees VRAM for more KV blocks.
         blocks = budget // (self._block_bytes() // self.tp)
-        blocks = min(blocks, self.econfig.max_kv_blocks)
+        blocks = min(blocks, _MAX_KV_BLOCKS)
         if blocks < 2:
             raise CacheError(
                 f"device {self.device.name} has no VRAM left for a KV pool "
@@ -434,12 +440,10 @@ class ServingEngine:
         swap_s = 0.0
         for _, tokens, mode in it.preempted:
             if mode == "swap" and tokens:
-                swap_s += (tokens * run.token_bytes
-                           / econf.host_link_bandwidth)
+                swap_s += tokens * run.token_bytes / _HOST_LINK_BANDWIDTH
         for _, tokens in it.swapped_in:
             if tokens:
-                swap_s += (tokens * run.token_bytes
-                           / econf.host_link_bandwidth)
+                swap_s += tokens * run.token_bytes / _HOST_LINK_BANDWIDTH
 
         self._execute(it)
 
@@ -456,9 +460,9 @@ class ServingEngine:
             run.ctl_accepted += sum(it.spec_accepted.values())
             if run.ctl_proposed >= spec.adapt_window:
                 rate = run.ctl_accepted / run.ctl_proposed
-                if rate < spec.adapt_low:
+                if rate < _ADAPT_LOW:
                     run.ctl_cap = max(1, run.ctl_cap - 1)
-                elif rate > spec.adapt_high:
+                elif rate > _ADAPT_HIGH:
                     run.ctl_cap = min(spec.num_spec_tokens, run.ctl_cap + 1)
                 sched.spec_k_cap = run.ctl_cap
                 run.ctl_proposed = run.ctl_accepted = 0
@@ -513,9 +517,6 @@ class ServingEngine:
         clock = run.clock
 
         kv.check_no_leaks()
-        if self.tp > 1:
-            # Per-shard pool audit: SPMD ranks must balance identically.
-            self.vm.check_no_leaks()
         refcount_audit = kv.refcount_audit()
         if tel is not None:
             tel.finalize(clock=clock, kv=kv)

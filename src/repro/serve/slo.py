@@ -39,8 +39,6 @@ class SLOConfig:
     #: ``preemption_storm`` anomaly when commits stay below preemptions
     #: (thrash: the pool churns sequences faster than they progress).
     storm_preemptions: int = 8
-    #: Record a ``slo_violation`` anomaly per offending request.
-    record_violations: bool = True
 
     def __post_init__(self):
         if self.window_requests < 1:
@@ -129,17 +127,16 @@ class SLOMonitor:
             self._tpot.append((metrics.req_id, tpot, tpot_ok))
         if not (ttft_ok and tpot_ok):
             self.violations += 1
-            if self.config.record_violations:
-                self.anomalies.append({
-                    "kind": "slo_violation",
-                    "t_s": t_s,
-                    "iteration": iteration,
-                    "req_id": metrics.req_id,
-                    "ttft_s": ttft,
-                    "tpot_s": tpot,
-                    "ttft_ok": ttft_ok,
-                    "tpot_ok": tpot_ok,
-                })
+            self.anomalies.append({
+                "kind": "slo_violation",
+                "t_s": t_s,
+                "iteration": iteration,
+                "req_id": metrics.req_id,
+                "ttft_s": ttft,
+                "tpot_s": tpot,
+                "ttft_ok": ttft_ok,
+                "tpot_ok": tpot_ok,
+            })
 
     # -- read --------------------------------------------------------------------
 

@@ -82,13 +82,11 @@ class SpecConfig:
     draft: Optional["LlamaConfig"] = None
     #: Acceptance-aware k controller: shrink the speculative width when
     #: the measured acceptance rate over ``adapt_window`` proposals drops
-    #: below ``adapt_low`` (drafting is wasted work), grow it back toward
-    #: ``num_spec_tokens`` above ``adapt_high``.  Deterministic — driven
-    #: only by oracle outcomes — so runs stay seeded-reproducible.
+    #: below 0.5 (drafting is wasted work), grow it back toward
+    #: ``num_spec_tokens`` above 0.8.  Deterministic — driven only by
+    #: oracle outcomes — so runs stay seeded-reproducible.
     adaptive: bool = False
     adapt_window: int = 64
-    adapt_low: float = 0.5
-    adapt_high: float = 0.8
 
     def __post_init__(self):
         if self.num_spec_tokens < 1:

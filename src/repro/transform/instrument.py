@@ -16,9 +16,7 @@ Built-ins:
 * :class:`IRStats` — function/binding/expression-node counts
   before → after each pass;
 * :class:`WellFormedVerifier` — runs the well-formedness checker after
-  every pass, naming the failing pass in the raised error (replaces the
-  old ``verify_each_pass`` ad-hoc flag, which silently skipped the
-  symbolic-scope checks);
+  every pass, naming the failing pass in the raised error;
 * :class:`PrintIRDiff` — prints the module whenever a pass changed it.
 """
 
@@ -167,14 +165,9 @@ class IRStats(PassInstrument):
 
 class WellFormedVerifier(PassInstrument):
     """Verify IR invariants after every pass, blaming the pass by name.
-
-    Unlike the old ``verify_each_pass`` flag (which hard-coded
-    ``check_sym_scope=False`` and so silently masked symbolic-scope
-    violations), the symbolic-scope checks run by default.
-    """
+    The symbolic-scope checks run by default."""
 
     name = "well_formed_verifier"
-    is_well_formed_verifier = True
 
     def __init__(self, check_sym_scope: bool = True):
         self.check_sym_scope = check_sym_scope

@@ -177,9 +177,6 @@ class PassContext:
     #: Passes with a declared ``opt_level`` above this are skipped unless
     #: marked ``required``.
     opt_level: int = 2
-    #: Legacy switch: equivalent to adding a ``WellFormedVerifier``
-    #: instrument (kept for backward compatibility).
-    verify_each_pass: bool = False
     #: Active :class:`~repro.transform.instrument.PassInstrument` hooks.
     instruments: List["PassInstrument"] = field(default_factory=list)
     #: Per-pass execution log, appended to by every pass run in this context.
@@ -192,13 +189,6 @@ class PassContext:
         #: so instruments annotate the right record even on nested calls.
         self._active_records: List[PassRecord] = []
         self._scope_depth = 0
-        if self.verify_each_pass and not any(
-            getattr(inst, "is_well_formed_verifier", False)
-            for inst in self.instruments
-        ):
-            from .instrument import WellFormedVerifier
-
-            self.instruments = list(self.instruments) + [WellFormedVerifier()]
 
     # -- scoping ------------------------------------------------------------
 

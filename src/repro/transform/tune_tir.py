@@ -105,14 +105,19 @@ DEFAULT_SPACE: Dict[str, List[ScheduleCandidate]] = {
 }
 
 
+#: The representative value every free symbolic variable is bound to
+#: while tuning.
+_TUNING_SHAPE = 64
+
+
 @register_pass
 class TuneTir(Pass):
     """Evaluate schedule candidates under the device cost model.
 
-    ``only_opaque`` (default) mirrors the paper: autotuning is reserved for
-    programs the analysis rules do not cover well.  Tuning binds every
-    free symbolic variable to a representative value (``tuning_shape``) —
-    the tuned schedule still executes for *all* shapes, exactly like a
+    Only ``opaque`` programs are tuned, mirroring the paper: autotuning is
+    reserved for programs the analysis rules do not cover well.  Tuning
+    binds every free symbolic variable to a representative value — the
+    tuned schedule still executes for *all* shapes, exactly like a
     dynamic shape-aware schedule.
     """
 
@@ -120,10 +125,8 @@ class TuneTir(Pass):
     opt_level = 2
     opt_flag = "enable_autotuning"
 
-    def __init__(self, only_opaque: bool = True, tuning_shape: int = 64,
-                 space: Optional[Dict[str, List[ScheduleCandidate]]] = None):
-        self.only_opaque = only_opaque
-        self.tuning_shape = tuning_shape
+    def __init__(
+            self, space: Optional[Dict[str, List[ScheduleCandidate]]] = None):
         self.space = space or DEFAULT_SPACE
 
     def run(self, mod: IRModule, ctx: PassContext) -> IRModule:
@@ -131,14 +134,12 @@ class TuneTir(Pass):
         ScheduleRules().run(mod, ctx)
         for name, func in mod.tir_functions():
             klass = func.attrs[SCHEDULE_ATTR]
-            if self.only_opaque and klass != "opaque":
+            if klass != "opaque":
                 continue
             candidates = self.space.get(klass)
             if not candidates:
                 continue
-            bindings = {
-                var: self.tuning_shape for var in func.free_sym_vars()
-            }
+            bindings = {var: _TUNING_SHAPE for var in func.free_sym_vars()}
             flops = tir.count_flops(func, bindings)
             nbytes = tir.count_bytes(func, bindings)
             best, best_time = None, float("inf")

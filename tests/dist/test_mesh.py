@@ -5,8 +5,8 @@ import pytest
 
 from repro import ops, transform
 from repro.core import BlockBuilder, TensorAnn
-from repro.dist import MeshExecutor, NVLINK
-from repro.runtime import NDArray, TEST_DEVICE
+from repro.dist import MeshExecutor, MeshVM, NVLINK
+from repro.runtime import NDArray, TEST_DEVICE, VirtualMachine
 from repro.runtime.vm import VMError
 
 
@@ -102,6 +102,19 @@ class TestConcreteCollectives:
         with pytest.raises(ValueError, match="per-shard"):
             mesh.run("f", [[NDArray.from_numpy(np.zeros(2, np.float32))]])
 
+    def test_mesh_runs_again_after_a_shard_failed(self):
+        exe = _collective_exe(lambda x: ops.ccl.all_reduce(x, world=2), (2,))
+        mesh = MeshExecutor(exe, TEST_DEVICE, 2, concrete=True)
+        xs = _rank_arrays(2, (2,))
+        bad = [NDArray.from_numpy(xs[0]),
+               NDArray.from_numpy(np.zeros(3, np.float32))]
+        with pytest.raises(VMError, match="expected 2, got 3"):
+            mesh.run("f", [[x] for x in bad])
+        outs = mesh.run("f", [[NDArray.from_numpy(x)] for x in xs])
+        want = (xs[0].astype(np.float64) + xs[1]).astype(np.float32)
+        for out in outs:
+            np.testing.assert_array_equal(out.numpy(), want)
+
 
 class TestClockAndStats:
     def _mesh(self, world, interconnect=NVLINK, concrete=False):
@@ -111,10 +124,37 @@ class TestClockAndStats:
                             interconnect=interconnect, concrete=concrete)
 
     def test_lockstep_clock(self):
-        mesh = self._mesh(2)
-        mesh.run("f", [[NDArray.abstract((64, 64), "f32")]] * 2)
+        mesh = self._mesh(2, concrete=True)
+        mesh.run("f", [[NDArray.from_numpy(x)]
+                       for x in _rank_arrays(2, (64, 64))])
         times = [vm.stats.time_s for vm in mesh.vms]
         assert times[0] == times[1] > 0.0
+
+    @pytest.mark.parametrize("world", [2, 4])
+    def test_abstract_mesh_step_enters_the_vm_once(self, world, monkeypatch):
+        calls = []
+        run = VirtualMachine.run
+        monkeypatch.setattr(
+            VirtualMachine, "run",
+            lambda vm, *args: calls.append(vm) or run(vm, *args))
+        mesh = self._mesh(world)
+        for n in (1, 2):  # interpreted, then replayed from its plan
+            MeshVM(mesh).run("f", NDArray.abstract((64, 64), "f32"))
+            assert len(calls) == n
+        assert len(mesh.shard_stats) == world
+
+    def test_abstract_ranks_must_be_handed_the_same_shapes(self):
+        mesh = self._mesh(2)
+        ref = self._mesh(2)
+        ref.run("f", [[NDArray.abstract((64, 64), "f32")]] * 2)
+        # Distinct argument lists of equal shapes are one SPMD step.
+        mesh.run("f", [[NDArray.abstract((64, 64), "f32")] for _ in range(2)])
+        assert mesh.stats == ref.stats
+        for other in (NDArray.abstract((64, 64), "f16"),
+                      NDArray.abstract((64, 32), "f32"), None):
+            with pytest.raises(ValueError, match="same shapes"):
+                mesh.run("f", [[NDArray.abstract((64, 64), "f32")], [other]])
+        assert mesh.stats == ref.stats  # a rejected step charges nothing
 
     def test_merged_stats_conventions(self):
         world = 2

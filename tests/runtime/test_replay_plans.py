@@ -17,7 +17,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro import transform
-from repro.dist import NVLINK, PCIE, MeshExecutor, MeshVM
+from repro.dist import NVLINK, PCIE, MeshContext, MeshExecutor, MeshVM
 from repro.models import TINY_LLAMA, TINY_LLAMA_TP, build_llama
 from repro.obs.trace import TraceRecorder
 from repro.runtime import (
@@ -113,10 +113,9 @@ _STEP = st.one_of(
 class _Driver:
     """Applies one generated step to a VM-shaped object."""
 
-    def __init__(self, vm, params, cfg, tp=1, set_graph=None):
+    def __init__(self, vm, params, cfg, tp=1, graph_vms=None):
         self.vm, self.params, self.cfg, self.tp = vm, params, cfg, tp
-        self.set_graph = set_graph or (
-            lambda on: setattr(vm, "enable_cuda_graph", on))
+        self.graph_vms = graph_vms or [vm]  # whose CUDA graphs "graph" toggles
         self.last_decode = None  # (batch, result) of the latest decode
 
     def step(self, kind, a, b):
@@ -125,7 +124,8 @@ class _Driver:
             vm.reset_stats(reset_pool=a)
             return None
         if kind == "graph":
-            self.set_graph(a)
+            for shard in self.graph_vms:
+                shard.enable_cuda_graph = a
             return None
         if kind == "feed_back" and self.last_decode is not None:
             # The previous step's returned caches (planned tensors, one
@@ -174,12 +174,7 @@ def test_memoized_mesh_matches_interpreting_mesh(steps):
         mesh = MeshExecutor(exe, TEST_DEVICE, 2, interconnect=NVLINK)
         if traced:
             mesh.tracer = TraceRecorder()
-
-        def set_graph(on):
-            for shard in mesh.vms:
-                shard.enable_cuda_graph = on
-
-        return _Driver(MeshVM(mesh), params, cfg, tp=2, set_graph=set_graph)
+        return _Driver(MeshVM(mesh), params, cfg, tp=2, graph_vms=mesh.vms)
 
     ref, memo = mesh_vm(True), mesh_vm(False)
     for step in steps:
@@ -187,51 +182,49 @@ def test_memoized_mesh_matches_interpreting_mesh(steps):
         assert memo.vm.shard_stats == ref.vm.shard_stats, step
         assert memo.vm.stats == ref.vm.stats, step
         assert _shapes(got) == _shapes(want), step
-    memo.vm.check_no_leaks()
-    ref.vm.check_no_leaks()
 
 
-# -- mesh sharing -----------------------------------------------------------------------
+# -- an abstract mesh is one VM: N interpreting rank VMs are the oracle ----------------
 
 
-def test_mesh_shards_share_one_table_and_rank1_replays_rank0():
-    exe, params, cfg = _llama(True, True, tp=2)
-    mesh = MeshExecutor(exe, TEST_DEVICE, 2, interconnect=NVLINK)
-    ref = MeshExecutor(exe, TEST_DEVICE, 2, interconnect=NVLINK)
-    ref.tracer = TraceRecorder()
-    assert mesh.vms[0].replay_plans is mesh.vms[1].replay_plans
-    args = _paged_args(cfg, params, 2, 3, tp=2)
-    for _ in range(3):
-        mesh.run("decode_paged", [args] * 2)
-        ref.run("decode_paged", [args] * 2)
-    # Collectives keep a sharded function out of CUDA graphs, so the very
-    # first call records: rank 0 interprets once, rank 1 never.
-    rank0, rank1 = (vm.plan_cache_info() for vm in mesh.vms)
-    assert (rank0.hits, rank0.misses) == (2, 1)
-    assert (rank1.hits, rank1.misses) == (3, 0)
-    assert MeshVM(mesh).plan_cache_info() == (5, 1, 1, 1)
-    assert mesh.stats == ref.stats
-    assert mesh.stats == ExecutionStats.merge_parallel(ref.shard_stats)
-    assert mesh.stats.comm_time_s > 0.0
-    MeshVM(mesh).check_no_leaks()
+class _RankVMs:
+    """``world`` independent shard VMs, each placed at its own rank and
+    traced (so each interprets; none holds a plan), driven as one VM."""
+
+    def __init__(self, exe, world):
+        self.vms = []
+        for rank in range(world):
+            vm = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+            vm.mesh = MeshContext(rank, world)
+            vm.interconnect = NVLINK
+            vm.tracer = TraceRecorder()
+            self.vms.append(vm)
+
+    def run(self, func_name, *args):
+        return [vm.run(func_name, *args) for vm in self.vms][0]
+
+    def reset_stats(self, *, reset_pool=True):
+        for vm in self.vms:
+            vm.reset_stats(reset_pool=reset_pool)
 
 
-def test_shard_that_never_captured_does_not_replay_a_peers_plan():
-    # An unsharded executable on a mesh: its functions are graph-captured.
-    exe, params, cfg = _llama(True, True)
-    mesh = MeshExecutor(exe, TEST_DEVICE, 2, interconnect=NVLINK)
-    args = _paged_args(cfg, params, 2, 3)
-    rank0, rank1 = mesh.vms
-    for _ in range(3):
-        rank0.run("decode_paged", *args)
-    assert rank0.plan_cache_info().hits == 1
-    rank1.run("decode_paged", *args)  # its first sight of this graph
-    assert rank1.stats.graph_captures == 1
-    assert rank1.stats.graph_replays == 0
-    assert rank1.plan_cache_info().hits == 0
-    rank1.run("decode_paged", *args)
-    assert rank1.plan_cache_info().hits == 1
-    assert rank1.stats.graph_replays == 1
+# An unsharded executable on a mesh has no collectives, so its functions
+# are graph-captured: the (2, 1) case is the one that captures and replays.
+@pytest.mark.parametrize("world,tp", [(2, 2), (4, 4), (2, 1)])
+@settings(max_examples=8, deadline=None)
+@given(steps=st.lists(_STEP, min_size=4, max_size=12))
+def test_one_vm_mesh_matches_independent_rank_vms(world, tp, steps):
+    exe, params, cfg = _llama(True, True, tp=tp)
+    mesh = MeshExecutor(exe, TEST_DEVICE, world, interconnect=NVLINK)
+    ranks = _RankVMs(exe, world)
+    ref = _Driver(ranks, params, cfg, tp=tp, graph_vms=ranks.vms)
+    one = _Driver(MeshVM(mesh), params, cfg, tp=tp, graph_vms=mesh.vms)
+    for step in steps:
+        want, got = ref.step(*step), one.step(*step)
+        shards = [vm.stats for vm in ranks.vms]
+        assert mesh.shard_stats == shards, step
+        assert mesh.stats == ExecutionStats.merge_parallel(shards), step
+        assert _shapes(got) == _shapes(want), step
 
 
 def test_replayed_result_points_at_the_running_vms_storage():
@@ -240,9 +233,10 @@ def test_replayed_result_points_at_the_running_vms_storage():
     args = _dense_args(cfg, params, 2, 1, 4, tp=2)
     for _ in range(3):
         outs = mesh.run("decode", [args] * 2)
-    assert mesh.vms[1].plan_cache_info().hits == 3
-    for vm, out in zip(mesh.vms, outs):
-        own = {id(s) for s in vm._storage_cache.values()}
+    (vm,) = mesh.vms
+    assert vm.plan_cache_info().hits == 2
+    own = {id(s) for s in vm._storage_cache.values()}
+    for out in outs:
         planned = [t for t in out if t.storage is not None]
         assert planned and all(id(t.storage) in own for t in planned)
 

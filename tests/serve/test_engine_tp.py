@@ -1,12 +1,12 @@
 """Tensor-parallel serving: the engine above the mesh runs unchanged.
 
-``EngineConfig(tp=N)`` swaps the single VM for a :class:`MeshVM` over N
-per-shard VMs in lockstep; everything above it — scheduler, paged KV
-accounting, prefix cache, speculative decoding — is SPMD-oblivious.
-These tests pin the contract: same-seed runs stay byte-identical, the
-scheduling outcome matches tp=1 request-for-request (only timing moves),
-per-shard pools balance, and the communication observability (summary
-key + per-shard Perfetto tracks) appears only behind the telemetry gate.
+``EngineConfig(tp=N)`` swaps the single VM for a :class:`MeshVM` over
+an N-device mesh; everything above it — scheduler, paged KV accounting,
+prefix cache, speculative decoding — is SPMD-oblivious.  These tests pin
+the contract: same-seed runs stay byte-identical, the scheduling outcome
+matches tp=1 request-for-request (only timing moves), the paged pool
+balances, and the communication observability (summary key + per-shard
+Perfetto tracks) appears only behind the telemetry gate.
 """
 
 import json
@@ -46,8 +46,8 @@ def _workload(seed=0, n=16):
 
 
 def test_tp_run_finishes_clean():
-    # run() ends with the per-shard pool audit (MeshVM.check_no_leaks);
-    # reaching the report means the ranks balanced block-for-block.
+    # run() ends with the paged pool's leak and refcount audits;
+    # reaching the report means it balanced block-for-block.
     report = _engine().run(generate(_workload()))
     s = report.summary
     assert s["num_finished"] == 16

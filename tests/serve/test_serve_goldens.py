@@ -1,19 +1,20 @@
 """Serving goldens: what every serving mode produces, committed as text.
 
-The sha256 pins in ``test_spec_decode.py`` cover vanilla LLM runs only and
-say *that* bytes moved.  These goldens cover the rest — speculative fixed
-and adaptive with and without pool pressure, swap and recompute preemption
-with prefix-cache evictions, telemetry with kernel capture, tp=2, dp=2
-under every router, mixed LLM + Whisper + denoise, and the CLI — and say
-*what* moved: each ``summary`` and request-row list is JSON text compared
-structurally with exact float equality (a failure names the first
-differing key path); large lists (iterations, trace events, spans) are a
-sha256 plus an element count.  Mixed-kind runs compare their span and
-trace-event lists as sorted multisets: stepped work of different request
-kinds in one iteration is recorded in scheduling order (DESIGN.md §18).
+The scenarios cover vanilla LLM runs (plain, pool pressure, prefix
+sharing, on two device models), speculative fixed and adaptive with and
+without pool pressure, swap and recompute preemption with prefix-cache
+evictions, telemetry with kernel capture, tp=2, dp=2 under every router,
+mixed LLM + Whisper + denoise, and the CLI — and say *what* moved: each
+``summary`` and request-row list is JSON text compared structurally with
+exact float equality (a failure names the first differing key path);
+large lists (iterations, trace events, spans) are a sha256 plus an
+element count.  Mixed-kind runs compare their span and trace-event lists
+as sorted multisets: stepped work of different request kinds in one
+iteration is recorded in scheduling order (DESIGN.md §18).
 
-Every golden was produced by the commit *before* the two-list
-``Iteration`` rewrite.  Run as a script::
+Every golden was produced by the commit *before* the change that added
+it (the ``vanilla_*`` ones reproduce the bytes of the engine before
+speculative decoding existed).  Run as a script::
 
     PYTHONPATH=src python tests/serve/test_serve_goldens.py regen
     PYTHONPATH=src python tests/serve/test_serve_goldens.py dump DIR
@@ -24,6 +25,7 @@ them); ``dump DIR`` writes every artifact in full so two commits can be
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -41,6 +43,7 @@ from repro.models import (
     TINY_WHISPER,
 )
 from repro.runtime import TEST_DEVICE
+from repro.runtime.device import ALL_DEVICES
 from repro.serve import (
     ClusterConfig,
     EngineConfig,
@@ -130,9 +133,49 @@ def _sched(seqs=8, tokens=64, chunk=16, eviction="swap"):
                            prefill_chunk=chunk, eviction=eviction)
 
 
-def _serve(cfg, workload, econf, **kwargs):
-    return ServingEngine(cfg, TEST_DEVICE, econf, **kwargs).run(
-        generate(workload))
+def _serve(cfg, workload, econf, device=TEST_DEVICE, **kwargs):
+    return ServingEngine(cfg, device, econf, **kwargs).run(generate(workload))
+
+
+#: The device models the vanilla scenarios are served on, and how the
+#: golden files spell them.
+VANILLA_DEVICES = {"NVIDIA RTX 4090": "rtx4090",
+                   "AMD Radeon 7900 XTX": "7900xtx"}
+
+
+def vanilla_workload(name):
+    if name == "plain":
+        return WorkloadConfig(num_requests=10, seed=0, arrival_rate=100.0,
+                              prompt_min=4, prompt_max=12,
+                              output_min=4, output_max=12)
+    if name == "pressure":
+        return WorkloadConfig(num_requests=8, seed=1, arrival_rate=400.0,
+                              prompt_min=8, prompt_max=16,
+                              output_min=6, output_max=12)
+    if name == "prefix":
+        return WorkloadConfig(num_requests=8, seed=2, arrival_rate=200.0,
+                              prompt_min=12, prompt_max=20,
+                              output_min=4, output_max=10,
+                              prefix_families=2, prefix_len=8)
+    raise ValueError(name)
+
+
+def vanilla_engine_config(name, spec=None):
+    """The three canonical configs ``test_spec_decode.py`` also serves
+    with ``spec`` set; ``spec=None`` is the engine before speculation."""
+    if name == "pressure":
+        return EngineConfig(page_size=4, num_blocks=24, spec=spec,
+                            scheduler=_sched(seqs=4, tokens=32, chunk=8))
+    if name in ("plain", "prefix"):
+        return EngineConfig(page_size=4, num_blocks=128, spec=spec,
+                            scheduler=_sched())
+    raise ValueError(name)
+
+
+def _vanilla(name, device):
+    return _engine_artifacts(_serve(
+        TINY_LLAMA, vanilla_workload(name), vanilla_engine_config(name),
+        device=ALL_DEVICES[device]))
 
 
 def _spec(adaptive, pressure):
@@ -268,6 +311,9 @@ def _cli(extra, mixed=False):
 
 
 SCENARIOS = {
+    **{f"vanilla_{name}_{slug}": functools.partial(_vanilla, name, device)
+       for name in ("plain", "pressure", "prefix")
+       for device, slug in VANILLA_DEVICES.items()},
     "spec_fixed": lambda: _spec(adaptive=False, pressure=False),
     "spec_fixed_pressure": lambda: _spec(adaptive=False, pressure=True),
     "spec_adaptive": lambda: _spec(adaptive=True, pressure=False),
@@ -336,14 +382,21 @@ def _first_diff(got, want, path="$"):
     return None if got == want else f"{path}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("name", list(SCENARIOS))
-def test_serving_output_matches_golden(name):
+def check_golden(name):
     doc, texts = _stored(SCENARIOS[name]())
     want = json.loads((GOLDENS / f"{name}.json").read_text())
     assert _first_diff(doc, want, name) is None
     for suffix, text in texts.items():
         assert text == (GOLDENS / f"{name}.{suffix}.txt").read_text(), (
             f"{name}.{suffix} drifted")
+
+
+# The vanilla scenarios are checked under the ids the sha256 pins they
+# replace had: test_spec_decode.py::test_vanilla_run_byte_identical_….
+@pytest.mark.parametrize(
+    "name", [n for n in SCENARIOS if not n.startswith("vanilla_")])
+def test_serving_output_matches_golden(name):
+    check_golden(name)
 
 
 def test_scenarios_exercise_what_they_claim():

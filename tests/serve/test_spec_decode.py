@@ -2,11 +2,13 @@
 
 Three invariant families pin the draft/verify mode:
 
-1. **Pre-PR byte identity** — a non-speculative run's summary JSON and
-   Perfetto trace hash to the exact values captured *before* speculative
-   decoding existed, across three canonical configs (plain, pool
-   pressure, prefix sharing) and both device models.  Speculation is a
-   strictly additive feature: with ``spec=None`` not one byte moves.
+1. **Pre-PR byte identity** — a non-speculative run's summary, request
+   rows, iterations and Perfetto trace equal the structural goldens
+   (``goldens/vanilla_*.json``) captured from the bytes the engine
+   produced *before* speculative decoding existed, across three
+   canonical configs (plain, pool pressure, prefix sharing) and both
+   device models.  Speculation is a strictly additive feature: with
+   ``spec=None`` not one byte moves.
 
 2. **Token-stream equality** — speculation may change *when* tokens are
    produced, never *which*: every request's output token stream under
@@ -24,7 +26,6 @@ these tests assert the reported leak count on both vanilla and
 speculative runs.
 """
 
-import hashlib
 import json
 
 import pytest
@@ -40,78 +41,15 @@ from repro.serve import (
 )
 from repro.serve.spec import TokenOracle
 
-DEVICES = ["NVIDIA RTX 4090", "AMD Radeon 7900 XTX"]
+from .test_serve_goldens import (
+    VANILLA_DEVICES,
+    check_golden,
+    vanilla_engine_config as _engine_config,
+    vanilla_workload as _workload,
+)
+
+DEVICES = list(VANILLA_DEVICES)
 CONFIGS = ["plain", "pressure", "prefix"]
-
-
-def _engine_config(name, spec=None):
-    if name == "plain":
-        return EngineConfig(
-            page_size=4, num_blocks=128,
-            scheduler=SchedulerConfig(max_num_seqs=8,
-                                      max_num_batched_tokens=64,
-                                      prefill_chunk=16),
-            spec=spec,
-        )
-    if name == "pressure":
-        return EngineConfig(
-            page_size=4, num_blocks=24,
-            scheduler=SchedulerConfig(max_num_seqs=4,
-                                      max_num_batched_tokens=32,
-                                      prefill_chunk=8),
-            spec=spec,
-        )
-    if name == "prefix":
-        return EngineConfig(
-            page_size=4, num_blocks=128, enable_prefix_caching=True,
-            scheduler=SchedulerConfig(max_num_seqs=8,
-                                      max_num_batched_tokens=64,
-                                      prefill_chunk=16),
-            spec=spec,
-        )
-    raise ValueError(name)
-
-
-def _workload(name):
-    if name == "plain":
-        return WorkloadConfig(num_requests=10, seed=0, arrival="poisson",
-                              arrival_rate=100.0, prompt_min=4,
-                              prompt_max=12, output_min=4, output_max=12)
-    if name == "pressure":
-        return WorkloadConfig(num_requests=8, seed=1, arrival="poisson",
-                              arrival_rate=400.0, prompt_min=8,
-                              prompt_max=16, output_min=6, output_max=12)
-    if name == "prefix":
-        return WorkloadConfig(num_requests=8, seed=2, arrival="poisson",
-                              arrival_rate=200.0, prompt_min=12,
-                              prompt_max=20, output_min=4, output_max=10,
-                              prefix_families=2, prefix_len=8)
-    raise ValueError(name)
-
-
-# (config, device) -> (summary sha256, perfetto trace sha256), captured
-# on the pre-speculation engine.  Regenerate ONLY for an intentional
-# report-format change — never to absorb a speculative-mode leak.
-BASELINE_HASHES = {
-    ("plain", "NVIDIA RTX 4090"): (
-        "e70ce3a4a07d22be6c8e342872fb71e4ec3f72bb3e7d23e70fb8028e8acc8cfd",
-        "a7808942ab599d653838fa2b35c8891249df4acdee54c7983e022a5053bb992c"),
-    ("plain", "AMD Radeon 7900 XTX"): (
-        "4386fe484afd7678142b9ac5cfa5e1aec8bade0d757dda919a79ed8abe3f6f06",
-        "c1b74cd7f485d16d365a04b5dc9e36b3bae26b6e83a6fd1d0f7a56bff68448f8"),
-    ("pressure", "NVIDIA RTX 4090"): (
-        "5c3505d59101410e690e3a95432cce953a3adea8b36a4028849b075eb3c0a05d",
-        "9a0c5728d370fa681a38f9b168062ac464795ece5300086935e0726acef514c5"),
-    ("pressure", "AMD Radeon 7900 XTX"): (
-        "4b79dadac18e142a93f954e2de807e94276275f7a7a231695389ecfd48bf5781",
-        "c266f4a71e89e05d7a1420cf942836a84e74a64cc99791cf97e24a98b54b51c1"),
-    ("prefix", "NVIDIA RTX 4090"): (
-        "75e676a3a0483d77c5afbdd7912d8221951892ea0c421c77ec67bf74ba107aaa",
-        "af7e8fdf8c6a141559442edbc610e9a0285bae5fe7f18f0964d50711b3a8c546"),
-    ("prefix", "AMD Radeon 7900 XTX"): (
-        "b658591147b4f9efe66818c29f7e6000ea6611cb416fa120965578f871aabe33",
-        "851910ad9959cb646f1df949bcb6d278c17a70d357d49022707590bfbef1c9b2"),
-}
 
 # Engine runs are deterministic, so reports are shared across tests
 # (SpecConfig is frozen/hashable; None = vanilla).
@@ -140,17 +78,7 @@ def _streams(report):
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("config", CONFIGS)
 def test_vanilla_run_byte_identical_to_pre_spec_engine(config, device):
-    report = _run(config, device)
-    summary_hash = hashlib.sha256(
-        report.to_json(sort_keys=True).encode()).hexdigest()
-    trace_hash = hashlib.sha256(
-        json.dumps(report.chrome_trace(), sort_keys=True).encode()
-    ).hexdigest()
-    want = BASELINE_HASHES[(config, device)]
-    assert (summary_hash, trace_hash) == want, (
-        f"{config}/{device}: non-speculative serving output drifted from "
-        f"the pre-speculation engine"
-    )
+    check_golden(f"vanilla_{config}_{VANILLA_DEVICES[device]}")
 
 
 def test_vanilla_reports_carry_no_spec_keys():

@@ -313,8 +313,8 @@ class TestWellFormedVerifier:
             self._ill_forming_pass()(mod, ctx)
 
     def test_sym_scope_checked_by_default(self):
-        """The old verify_each_pass flag hard-coded check_sym_scope=False,
-        masking symbolic-scope violations; the instrument checks them."""
+        """Symbolic-scope violations are caught unless the instrument is
+        told not to look."""
         from repro import core
         from repro.core import Function, SeqExpr, Var
         from repro.core.expr import BindingBlock, VarBinding
@@ -339,10 +339,13 @@ class TestWellFormedVerifier:
         lax = PassContext(
             instruments=[WellFormedVerifier(check_sym_scope=False)]
         )
-        leak(_simple_module(), lax)  # masked, as the old flag behaved
+        leak(_simple_module(), lax)  # masked
 
     def test_legacy_flag_installs_verifier(self):
-        ctx = PassContext(verify_each_pass=True)
+        """The flag is gone: the instrument is the one way to verify."""
+        with pytest.raises(TypeError):
+            PassContext(verify_each_pass=True)
+        ctx = PassContext(instruments=[WellFormedVerifier()])
         assert any(isinstance(i, WellFormedVerifier) for i in ctx.instruments)
 
 

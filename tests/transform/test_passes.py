@@ -6,7 +6,7 @@ import pytest
 from repro import core, ops, sym, tir, transform
 from repro.core import BlockBuilder, Function, SeqExpr, TensorAnn, const
 from repro.runtime import NDArray, TEST_DEVICE, VirtualMachine
-from repro.transform import PassContext
+from repro.transform import PassContext, WellFormedVerifier
 
 RNG = np.random.default_rng(3)
 
@@ -396,7 +396,7 @@ class TestMatchCastThroughPipeline:
 
 class TestVerifyEachPass:
     def test_pipeline_is_well_formed_after_every_pass(self):
-        """PassContext(verify_each_pass=True) runs the verifier between
+        """A WellFormedVerifier instrument runs the verifier between
         stages — the pipeline must keep the IR invariants at every step."""
         from repro.models import TINY_LLAMA, build_llama
         from repro.runtime import TEST_DEVICE
@@ -405,7 +405,7 @@ class TestVerifyEachPass:
         ctx = PassContext(
             device=TEST_DEVICE,
             sym_var_upper_bounds={"b": 4, "s": 16, "m": 16},
-            verify_each_pass=True,
+            instruments=[WellFormedVerifier()],
         )
         lowered = transform.optimize(exported.mod, ctx)
         assert lowered["decode"].attrs.get("memory_planned") == "static"
