@@ -195,10 +195,6 @@ class _LlamaCppSystem(BaselineSystem):
 LLAMA_CPP = _LlamaCppSystem(LLAMA_CPP.policy)
 
 
-def hf_eager_overhead(device: Device) -> float:
-    return device.framework_op_overhead
-
-
 class _HFEagerSystem(BaselineSystem):
     """Eager mode pays the framework's per-op host overhead on every op."""
 

@@ -16,7 +16,6 @@ from .. import transform
 from ..models.llama import LlamaConfig, build_llama
 from ..runtime import NDArray, VirtualMachine
 from ..runtime.device import Device
-from ..runtime.profiler import ExecutionStats, ProfileReport
 from ..transform import IRStats, PassContext, Timing
 
 #: Compiled-artifact cache: building the same (config, device, flags,
@@ -176,13 +175,6 @@ class RelaxLLM:
     def decode_throughput(self, batch: int, context: int) -> float:
         """Tokens per second per sequence at steady state."""
         return batch / self.decode_step_time(batch, context)
-
-    def stats_snapshot(self) -> ExecutionStats:
-        return self.vm.stats
-
-    def profile_report(self) -> ProfileReport:
-        """Execution stats joined with the compile-time pipeline report."""
-        return ProfileReport.from_vm(self.vm)
 
     def op_profile(self, batch: int, context: int, *, fn: str = "decode",
                    seq: int = 16):
@@ -349,14 +341,6 @@ class RelaxDenoise:
             self.exported.mod, device, bounds, {})
         self.vm = VirtualMachine(self.exe, device, concrete=False)
         self.params = self.exported.abstract_params()
-
-    def step_time(self, batch: int = 1) -> float:
-        """Steady-state simulated time of one denoise iteration."""
-        latent = NDArray.abstract(
-            (batch, self.cfg.latent_tokens, self.cfg.latent_dim),
-            self.cfg.dtype,
-        )
-        return _steady_time(self.vm, "denoise_step", latent, *self.params)
 
 
 class RelaxLlava:

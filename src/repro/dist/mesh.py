@@ -255,10 +255,10 @@ class MeshVM:
     def shard_stats(self) -> List[ExecutionStats]:
         return self.mesh.shard_stats
 
-    def reset_stats(self, *, reset_pool: bool = True) -> ExecutionStats:
+    def reset_stats(self) -> ExecutionStats:
         before = self.mesh.stats
         for vm in self.mesh.vms:
-            vm.reset_stats(reset_pool=reset_pool)
+            vm.reset_stats()
         return before
 
     def plan_cache_info(self) -> PlanCacheInfo:

@@ -100,9 +100,6 @@ class ShardingPlan:
                 return spec
         return ShardSpec()
 
-    def as_dict(self) -> Dict[str, ShardSpec]:
-        return dict(self.params)
-
 
 def make_llama_tp_plan(cfg, world: int) -> ShardingPlan:
     """Megatron-style tensor-parallel plan for a decoder-only config.

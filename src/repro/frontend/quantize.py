@@ -116,10 +116,6 @@ class QuantizedLinear(Module):
         self.packed.data = packed
         self.scales.data = scales.astype(dtypes.to_numpy(self.scales.dtype))
 
-    def initialize_quantized(self, rng: np.random.Generator, scale: float = 0.02):
-        weight = (rng.standard_normal((self.in_features, self.out_features)) * scale)
-        self.load_float_weight(weight.astype(np.float32))
-
     def forward(self, bb: BlockBuilder, x: Expr) -> Expr:
         prim = decode_prim_func(
             self.in_features, self.out_features, self.bits, self.group_size,

@@ -150,9 +150,6 @@ class Plan:
         self.outputs = list(outputs or [])
         self.subfuncs = list(subfuncs or [])
 
-    def num_values(self) -> int:
-        return len(self.params) + len(self.steps)
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,

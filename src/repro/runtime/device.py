@@ -69,10 +69,6 @@ class Device:
         return replace(self, **kwargs)
 
 
-def _ghz(x: float) -> float:
-    return x
-
-
 # -- the paper's evaluation devices (§5.1, §5.3, §5.4) --------------------------
 
 RTX_4090 = Device(

@@ -269,61 +269,37 @@ def ccl_combine(kind: str, chunks: List[np.ndarray], rank: int,
 #
 # An abstract call's accounting is decided by its signature alone, so the VM
 # records, per signature, the flat sequence of effects interpretation produced
-# and applies it to the live stats, pool and storages on every later call
-# (DESIGN.md §16).  A plan's ``ops`` is an int stream — an op code followed by
-# its operands — and ``times`` holds every float term in the order the
-# interpreter added it.
+# and replays it on every later call (DESIGN.md §16).  Each kind of effect has
+# one *applier* method on the VM that appends the effect to the active
+# recorder and changes ``stats`` / ``pool`` / ``_storage_cache``; the
+# interpreter charges only through the appliers, and a replay calls the same
+# appliers in recorded order.  A plan's ``ops`` is an int stream — an op code
+# followed by its operands — and ``times`` holds the float term of every op
+# that carries one, in the order the interpreter added it.
 
-_OP_KERNELS = 0  # n: the next n times are kernel / library times
-_OP_CLOCK = 1    # the next time is a bare clock term
-_OP_WIRE = 2     # the next time is interconnect time
-_OP_ALLOC = 3    # size, flags: pool allocation
-_OP_RELEASE = 4  # size: pool release
-_OP_STORAGE = 5  # index into ``storages``: planned-storage check
-_ESCAPES = 1     # _OP_ALLOC flag: the block holds a returned value
-_CHARGED = 2     # _OP_ALLOC flag: a fresh block costs device.alloc_overhead
+_LIB = 1          # op codes 0-3 are one kernel each; this flag: a library call
+_LAUNCHED = 2     # kernel flag: launched on its own (else replayed in a graph)
+_OP_CLOCK = 4     # a bare clock term
+_OP_WIRE = 5      # interconnect time
+_OP_GRAPH = 6     # a graph launch
+_OP_BUILTIN = 7   # a builtin call
+_OP_ALLOC = 8     # size, flags: pool allocation
+_OP_RELEASE = 9   # size: pool release
+_OP_STORAGE = 10  # index into ``storages``: planned-storage check
+_ESCAPES = 1      # _OP_ALLOC flag: the block holds a returned value
+_CHARGED = 2      # _OP_ALLOC flag: a fresh block costs device.alloc_overhead
 
 
 class _PlanRecorder:
-    """The accounting effects of one interpreted call, in order."""
+    """The effects of one interpreted call, in order (written by the
+    appliers)."""
+
+    __slots__ = ("ops", "times", "storages")
 
     def __init__(self):
         self.ops = array("q")
         self.times = array("d")
         self.storages: List[Tuple] = []
-        #: Set when the call was a graph replay.
-        self.graph_replay = False
-        self._run = -1  # where in ``ops`` the open kernel run keeps its count
-
-    def kernel(self, time: float) -> None:
-        if self._run < 0:
-            self.ops.extend((_OP_KERNELS, 0))
-            self._run = len(self.ops) - 1
-        self.ops[self._run] += 1
-        self.times.append(time)
-
-    def _op(self, *words: int) -> None:
-        self._run = -1
-        self.ops.extend(words)
-
-    def clock(self, time: float) -> None:
-        self._op(_OP_CLOCK)
-        self.times.append(time)
-
-    def wire(self, time: float) -> None:
-        self._op(_OP_WIRE)
-        self.times.append(time)
-
-    def alloc(self, size: int, escapes: bool, charged: bool) -> None:
-        self._op(_OP_ALLOC, size,
-                 (_ESCAPES if escapes else 0) | (_CHARGED if charged else 0))
-
-    def release(self, size: int) -> None:
-        self._op(_OP_RELEASE, size)
-
-    def storage(self, key: Tuple, size: int, escapes: bool) -> None:
-        self._op(_OP_STORAGE, len(self.storages))
-        self.storages.append((key, size, escapes))
 
 
 class _TensorSpec(NamedTuple):
@@ -341,14 +317,9 @@ class _Unrecordable(Exception):
 class _Plan(NamedTuple):
     #: The function the plan was recorded from (an executable is mutable).
     func: "VMFunction"
-    #: Whether the recorded call was a graph replay.
-    graph_replay: bool
     ops: array
     times: array
     storages: Tuple[Tuple, ...]
-    kernel_launches: int
-    lib_calls: int
-    builtin_calls: int
     result: object
 
 
@@ -413,6 +384,17 @@ def _describe(args) -> Optional[List[Tuple]]:
     return sig
 
 
+def _cost_vars(func: tir.PrimFunc) -> Tuple[sym.SymVar, ...]:
+    """The explicit symbolic parameters ``tir.count_flops`` / ``count_bytes``
+    read beyond the argument shapes: those in an iteration extent or an
+    intermediate buffer's shape.  One read only by index expressions
+    (rope's position offset) moves no count, so it keys no cache entry."""
+    exprs = [extent for stage in func.stages for _, extent in stage.iter_domain()]
+    exprs += [dim for buf in func.intermediate_buffers() for dim in buf.shape]
+    used = {var.key() for expr in exprs for var in sym.free_vars(expr)}
+    return tuple(var for var in func.sym_params if var.key() in used)
+
+
 class VirtualMachine:
     """Interprets an Executable on a modeled device.
 
@@ -449,6 +431,7 @@ class VirtualMachine:
         self._storage_cache: Dict[Tuple[str, int], Storage] = {}
         self._graph_cache: Dict[Tuple, int] = {}
         self._cost_cache: Dict[Tuple, Tuple[int, int]] = {}
+        self._cost_vars: Dict[str, Tuple[sym.SymVar, ...]] = {}
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
         self._plans: Optional[ReplayPlans] = None
@@ -486,26 +469,19 @@ class VirtualMachine:
         key = (func_name, replays, *map(table.intern, sig))
         return self._record_plan(table, key, func_name, func, args)
 
-    def reset_stats(self, *, reset_pool: bool = True) -> ExecutionStats:
+    def reset_stats(self) -> ExecutionStats:
         """Start a fresh :class:`ExecutionStats` window; returns the old one.
 
-        With ``reset_pool=True`` (the default, and the historical
-        behaviour) the :class:`RuntimePool` free list is dropped too, so
-        the next run re-allocates blocks an uninterrupted run would have
-        recycled — correct for "measure one steady-state step from
-        scratch", but it *double-counts allocations* if used to split one
-        continuous workload into windows.  For per-window deltas on a
-        shared VM (e.g. scheduler iterations in ``repro.serve``) either
-        pass ``reset_pool=False``, which re-binds the live pool to the new
-        stats object, or — preferably — leave the stats alone and use
-        ``stats.copy()`` / ``stats.delta()``.
+        The :class:`RuntimePool` free list is dropped too, so the next run
+        re-allocates blocks an uninterrupted run would have recycled —
+        correct for "measure one steady-state step from scratch", but it
+        *double-counts allocations* if used to split one continuous
+        workload into windows: for per-window deltas on a shared VM leave
+        the stats alone and use ``stats.copy()`` / ``stats.delta()``.
         """
         old = self.stats
         self.stats = ExecutionStats()
-        if reset_pool:
-            self.pool = RuntimePool(self.stats)
-        else:
-            self.pool.stats = self.stats
+        self.pool = RuntimePool(self.stats)
         return old
 
     @property
@@ -539,8 +515,6 @@ class VirtualMachine:
         nested call (the interpreter drops the recorder), or returns a
         value :meth:`_result_template` cannot describe.
         """
-        stats = self.stats
-        counts = (stats.kernel_launches, stats.lib_calls, stats.builtin_calls)
         self._recorder = _PlanRecorder()
         try:
             result = self._call(func_name, list(args))
@@ -553,13 +527,8 @@ class VirtualMachine:
             except _Unrecordable:
                 return result
             table.plans[key] = _Plan(
-                func, recorder.graph_replay, recorder.ops, recorder.times,
-                tuple(map(table.intern, recorder.storages)),
-                stats.kernel_launches - counts[0],
-                stats.lib_calls - counts[1],
-                stats.builtin_calls - counts[2],
-                template,
-            )
+                func, recorder.ops, recorder.times,
+                tuple(map(table.intern, recorder.storages)), template)
         return result
 
     def _result_template(self, table: ReplayPlans, result, args):
@@ -607,68 +576,31 @@ class VirtualMachine:
         return template
 
     def _apply_plan(self, plan: _Plan):
-        """Replay ``plan`` against the live stats, pool and storages.
-
-        Each float field receives its recorded terms one at a time in
-        recorded order — float addition is not associative, and this is
-        what keeps a replayed clock bit-identical to an interpreted one.
-        Pool reuse and storage resizes are decided here, against live
-        state, by the same code interpretation uses.
-        """
-        stats = self.stats
-        time_s = stats.time_s
-        kernel_s = stats.kernel_time_s
-        comm_s = stats.comm_time_s
-        ops, times, storages = plan.ops, plan.times, plan.storages
-        i = t = 0
-        end = len(ops)
-        while i < end:
-            op = ops[i]
-            if op == _OP_KERNELS:
-                stop = t + ops[i + 1]
-                for dt in times[t:stop]:
-                    time_s += dt
-                    kernel_s += dt
-                t = stop
-                i += 2
-            elif op == _OP_STORAGE:
-                stats.time_s = time_s
-                self._storage(*storages[ops[i + 1]])
-                time_s = stats.time_s
-                i += 2
+        """Replay ``plan``: call the appliers with the recorded effects in
+        recorded order, so a replayed call *is* the interpreted one — down
+        to the order of every float addition, and with pool reuse and
+        storage resizes decided against live state."""
+        kernel = self._kernel
+        time = iter(plan.times).__next__
+        words = iter(plan.ops)
+        for op in words:
+            if op < _OP_CLOCK:
+                kernel(op, time())
+            elif op == _OP_CLOCK:
+                self._charge(time())
+            elif op == _OP_WIRE:
+                self._wire(time())
+            elif op == _OP_GRAPH:
+                self._graph_launch(time())
+            elif op == _OP_BUILTIN:
+                self._builtin()
             elif op == _OP_ALLOC:
-                flags = ops[i + 2]
-                stats.time_s = time_s
-                self._pool_allocate(ops[i + 1], bool(flags & _ESCAPES),
-                                    charged=bool(flags & _CHARGED))
-                time_s = stats.time_s
-                i += 3
+                size, flags = next(words), next(words)
+                self._pool_allocate(size, flags & _ESCAPES, flags & _CHARGED)
             elif op == _OP_RELEASE:
-                self.pool.release(ops[i + 1])
-                i += 2
+                self._pool_release(next(words))
             else:
-                dt = times[t]
-                time_s += dt
-                if op == _OP_WIRE:
-                    comm_s += dt
-                t += 1
-                i += 1
-        stats.time_s = time_s
-        stats.kernel_time_s = kernel_s
-        stats.comm_time_s = comm_s
-        launches = plan.kernel_launches + plan.lib_calls
-        if not plan.graph_replay:
-            launch_s = stats.launch_overhead_s
-            overhead = self.device.kernel_launch_overhead
-            for _ in range(launches):
-                launch_s += overhead
-            stats.launch_overhead_s = launch_s
-        else:
-            stats.graph_replays += 1
-            stats.replayed_kernels += launches
-        stats.kernel_launches += plan.kernel_launches
-        stats.lib_calls += plan.lib_calls
-        stats.builtin_calls += plan.builtin_calls
+                self._storage(*plan.storages[next(words)])
         return self._instantiate(plan.result)
 
     # -- function invocation ------------------------------------------------------
@@ -690,37 +622,30 @@ class VirtualMachine:
         if use_graph:
             key = (func_name, self._graph_signature(func, args))
             if key in self._graph_cache:
-                if self._recorder is not None:
-                    self._recorder.graph_replay = True
                 return self._run_replayed(func, args)
-            # First run with this shape signature: capture.  A capture
-            # happens once, so it is never what a replay plan holds.
-            self._recorder = None
-            self.stats.graph_captures += 1
+            # First run with this shape signature: capture.
             capture_s = 10 * self.device.kernel_launch_overhead
             if self.tracer is not None:
                 self.tracer.emit("graph_capture", func_name,
                                  self.stats.time_s, capture_s)
-            self.stats.time_s += capture_s
+            self._capture(capture_s)
             result = self._run_body(func, args)
             self._graph_cache[key] = 1
             return result
         return self._run_body(func, args)
 
     def _run_replayed(self, func: VMFunction, args: List):
+        replayed = self.stats.replayed_kernels
         self._replay_depth += 1
-        launches_before = self.stats.kernel_launches + self.stats.lib_calls
         try:
             result = self._run_body(func, args)
         finally:
             self._replay_depth -= 1
-        self.stats.graph_replays += 1
-        replayed = self.stats.kernel_launches + self.stats.lib_calls - launches_before
-        self.stats.replayed_kernels += replayed
         if self.tracer is not None:
             self.tracer.emit("graph_replay", func.name, self.stats.time_s,
-                             self.device.graph_launch_overhead, kernels=replayed)
-        self._charge(self.device.graph_launch_overhead)
+                             self.device.graph_launch_overhead,
+                             kernels=self.stats.replayed_kernels - replayed)
+        self._graph_launch(self.device.graph_launch_overhead)
         return result
 
     @staticmethod
@@ -802,9 +727,7 @@ class VirtualMachine:
         arr = frame.regs[instr.reg]
         if isinstance(arr, NDArray) and arr.storage is None:
             size = arr.size_bytes()
-            self.pool.release(size)
-            if self._recorder is not None:
-                self._recorder.release(size)
+            self._pool_release(size)
             if self.tracer is not None:
                 self.tracer.emit("free", "pool_tensor", self.stats.time_s,
                                  0.0, instr.prov, size=size)
@@ -877,41 +800,11 @@ class VirtualMachine:
 
     # -- memory ------------------------------------------------------------------------
 
-    def _charge(self, seconds: float) -> None:
-        """A bare clock term (no kernel, no wire)."""
-        self.stats.time_s += seconds
-        if self._recorder is not None:
-            self._recorder.clock(seconds)
-
     def _exec_alloc_storage(self, func: VMFunction, instr: AllocStorage,
                             frame: _Frame) -> None:
-        key = (func.name, id(instr))
-        size = self._dim_value(instr.size, frame)
-        if self._recorder is not None:
-            self._recorder.storage(key, size, instr.escapes)
-        frame.regs[instr.dst] = self._storage(key, size, instr.escapes,
-                                              instr.prov)
-
-    def _storage(self, key: Tuple[str, int], size: int, escapes: bool,
-                 prov: Tuple[str, ...] = ()) -> Storage:
-        """The planned storage ``key``, allocated or resized on demand."""
-        cached = self._storage_cache.get(key)
-        if cached is not None and cached.size == size:
-            return cached
-        if cached is not None:
-            self.stats.record_free(cached.size)
-            if self.tracer is not None:
-                self.tracer.emit("free", "storage", self.stats.time_s, 0.0,
-                                 prov, size=cached.size, resized=True)
-        self.stats.record_alloc(size, escapes)
-        if self.tracer is not None:
-            self.tracer.emit("alloc", "storage", self.stats.time_s,
-                             self.device.alloc_overhead, prov,
-                             size=size, escapes=escapes)
-        self.stats.time_s += self.device.alloc_overhead
-        storage = Storage(size, self.concrete)
-        self._storage_cache[key] = storage
-        return storage
+        frame.regs[instr.dst] = self._storage(
+            (func.name, id(instr)), self._dim_value(instr.size, frame),
+            instr.escapes, instr.prov)
 
     def _exec_alloc_tensor(self, func, instr: AllocTensor, frame: _Frame) -> None:
         shape = [self._dim_value(d, frame) for d in instr.dims]
@@ -939,17 +832,112 @@ class VirtualMachine:
             )
         frame.regs[instr.dst] = arr
 
-    def _pool_allocate(self, size: int, escapes: bool = False, *,
+    # -- appliers: the only code that changes stats, pool and storages ---------------
+    #
+    # Each records its effect when a recorder is attached; _apply_plan calls
+    # them with the recorded operands (see "replay plans" above).
+
+    def _kernel(self, flags: int, time: float) -> None:
+        """One kernel of ``time`` seconds; ``flags``: ``_LIB`` for a
+        library call, ``_LAUNCHED`` unless it replays inside a graph."""
+        rec = self._recorder
+        if rec is not None:
+            rec.ops.append(flags)
+            rec.times.append(time)
+        stats = self.stats
+        stats.time_s += time
+        stats.kernel_time_s += time
+        if flags & _LAUNCHED:
+            stats.launch_overhead_s += self.device.kernel_launch_overhead
+        else:
+            stats.replayed_kernels += 1
+        if flags & _LIB:
+            stats.lib_calls += 1
+        else:
+            stats.kernel_launches += 1
+
+    def _charge(self, seconds: float) -> None:
+        """A bare clock term (no kernel, no wire)."""
+        rec = self._recorder
+        if rec is not None:
+            rec.ops.append(_OP_CLOCK)
+            rec.times.append(seconds)
+        self.stats.time_s += seconds
+
+    def _wire(self, seconds: float) -> None:
+        """Interconnect time: on the clock and in ``comm_time_s``."""
+        rec = self._recorder
+        if rec is not None:
+            rec.ops.append(_OP_WIRE)
+            rec.times.append(seconds)
+        self.stats.time_s += seconds
+        self.stats.comm_time_s += seconds
+
+    def _graph_launch(self, seconds: float) -> None:
+        """One launch of a captured graph."""
+        rec = self._recorder
+        if rec is not None:
+            rec.ops.append(_OP_GRAPH)
+            rec.times.append(seconds)
+        self.stats.graph_replays += 1
+        self.stats.time_s += seconds
+
+    def _builtin(self) -> None:
+        """One builtin call (its clock terms are effects of their own)."""
+        if self._recorder is not None:
+            self._recorder.ops.append(_OP_BUILTIN)
+        self.stats.builtin_calls += 1
+
+    def _capture(self, seconds: float) -> None:
+        """A graph capture.  It happens once per capture key, so it is never
+        what a replay plan holds: the recorder is dropped."""
+        self._recorder = None
+        self.stats.graph_captures += 1
+        self.stats.time_s += seconds
+
+    def _pool_allocate(self, size: int, escapes: bool = False,
                        charged: bool = False) -> bool:
         """Take ``size`` bytes from the pool; True when a block was reused.
         A ``charged`` allocation (a tensor's; a builtin's result is not)
         pays ``alloc_overhead`` for a fresh block."""
         if self._recorder is not None:
-            self._recorder.alloc(size, escapes, charged)
+            self._recorder.ops.extend((
+                _OP_ALLOC, size,
+                (_ESCAPES if escapes else 0) | (_CHARGED if charged else 0)))
         reused = self.pool.allocate(size, escapes)
         if charged and not reused:
             self.stats.time_s += self.device.alloc_overhead
         return reused
+
+    def _pool_release(self, size: int) -> None:
+        if self._recorder is not None:
+            self._recorder.ops.extend((_OP_RELEASE, size))
+        self.pool.release(size)
+
+    def _storage(self, key: Tuple[str, int], size: int, escapes: bool,
+                 prov: Tuple[str, ...] = ()) -> Storage:
+        """The planned storage ``key``, allocated or resized on demand."""
+        rec = self._recorder
+        if rec is not None:
+            rec.ops.extend((_OP_STORAGE, len(rec.storages)))
+            rec.storages.append((key, size, escapes))
+        cached = self._storage_cache.get(key)
+        if cached is not None and cached.size == size:
+            return cached
+        if cached is not None:
+            self.stats.record_free(cached.size)
+            if self.tracer is not None:
+                self.tracer.emit("free", "storage", self.stats.time_s, 0.0,
+                                 prov, size=cached.size, resized=True)
+        self.stats.record_alloc(size, escapes)
+        if self.tracer is not None:
+            self.tracer.emit("alloc", "storage", self.stats.time_s,
+                             self.device.alloc_overhead, prov,
+                             size=size, escapes=escapes)
+        self.stats.time_s += self.device.alloc_overhead
+        storage = Storage(size, self.concrete)
+        self._storage_cache[key] = storage
+        return storage
 
     # -- kernels -----------------------------------------------------------------------
 
@@ -963,18 +951,12 @@ class VirtualMachine:
 
         bindings = self._bind_shapes(func, inputs + outputs, sym_values)
         flops, nbytes = self._kernel_cost(instr.func, func, inputs + outputs, bindings)
-        event = self._account_kernel(
-            func, outputs, flops, nbytes, is_lib=False,
-            trace_name=instr.func, prov=instr.prov, inputs=inputs,
-            bindings=bindings,
-        )
-
+        event = self._launch(False, instr.func, flops, nbytes,
+                             self._efficiency(func, outputs), instr.prov,
+                             inputs + outputs, bindings)
         if self.concrete:
             arrays = [a.numpy() for a in inputs] + [a.numpy() for a in outputs]
-            sym_bindings = {
-                var: value for var, value in bindings.items()
-            }
-            tir.run_prim_func(func, arrays, sym_bindings=sym_bindings)
+            tir.run_prim_func(func, arrays, sym_bindings=bindings)
             if event is not None and self.tracer.capture_outputs:
                 event.outputs = [o.numpy().copy() for o in outputs]
 
@@ -990,35 +972,44 @@ class VirtualMachine:
         in_sd = [(a.shape, a.dtype) for a in inputs]
         out_sd = [(a.shape, a.dtype) for a in outputs]
         flops, nbytes = kernel.cost(in_sd, out_sd)
-        eff_class = kernel.efficiency_class(in_sd, out_sd)
         efficiency = {
             "lib": self.device.lib_efficiency,
             "gen": self.device.gen_efficiency,
             "gen_matvec": self.device.gen_matvec_efficiency,
-        }[eff_class]
-        include_launch = self._replay_depth == 0
-        time = self.device.kernel_time(flops, nbytes, efficiency, include_launch)
-        if not include_launch:
-            time += self.device.graph_kernel_overhead
-        event = None
-        if self.tracer is not None:
-            roofline = self.device.kernel_roofline(flops, nbytes, efficiency)
-            event = self.tracer.emit(
-                "library", instr.name, self.stats.time_s, time, instr.prov,
-                flops=flops, bytes=nbytes, efficiency=efficiency,
-                roofline_s=roofline, launch_s=time - roofline,
-                replayed=not include_launch,
-                shapes=[list(a.shape) for a in inputs + outputs],
-            )
-        self._charge_kernel(time, include_launch)
-        self.stats.lib_calls += 1
+        }[kernel.efficiency_class(in_sd, out_sd)]
+        event = self._launch(True, instr.name, flops, nbytes, efficiency,
+                             instr.prov, inputs + outputs)
         if self.concrete:
             kernel.compute([a.numpy() for a in inputs], [a.numpy() for a in outputs])
             if event is not None and self.tracer.capture_outputs:
                 event.outputs = [o.numpy().copy() for o in outputs]
 
-    def _account_kernel(self, func: tir.PrimFunc, outputs, flops, nbytes, is_lib,
-                        trace_name=None, prov=(), inputs=(), bindings=None):
+    def _launch(self, lib: bool, name: str, flops, nbytes, efficiency: float,
+                prov, arrays: List[NDArray], bindings=None):
+        """Time, trace and charge one tensor-program (or, ``lib``, library)
+        kernel; inside a replayed graph it pays the per-kernel graph
+        overhead instead of a launch.  Returns the trace event, if any."""
+        launched = self._replay_depth == 0
+        time = self.device.kernel_time(flops, nbytes, efficiency, launched)
+        if not launched:
+            time += self.device.graph_kernel_overhead
+        event = None
+        if self.tracer is not None:
+            roofline = self.device.kernel_roofline(flops, nbytes, efficiency)
+            extra = {} if lib else {
+                "sym": {var.name: int(v) for var, v in bindings.items()}}
+            event = self.tracer.emit(
+                "library" if lib else "kernel", name, self.stats.time_s,
+                time, prov, flops=flops, bytes=nbytes, efficiency=efficiency,
+                roofline_s=roofline, launch_s=time - roofline,
+                replayed=not launched,
+                shapes=[list(a.shape) for a in arrays], **extra,
+            )
+        self._kernel((_LIB if lib else 0) | (_LAUNCHED if launched else 0), time)
+        return event
+
+    def _efficiency(self, func: tir.PrimFunc, outputs: List[NDArray]) -> float:
+        """The fraction of roofline a generated tensor program reaches."""
         efficiency = self.device.gen_efficiency
         if func.attrs.get("schedule_class") == "opaque":
             # No analysis rule covers this program: the naive fallback
@@ -1029,10 +1020,7 @@ class VirtualMachine:
         if tuned is not None:
             efficiency = float(tuned)
         if func.attrs.get("op_kind") == "matmul" and outputs:
-            rows = 1
-            for d in outputs[0].shape[:-1]:
-                rows *= d
-            if rows == 1:
+            if math.prod(outputs[0].shape[:-1]) == 1:
                 # Compiler-specialized matrix-vector kernels at batch 1
                 # (the paper's Fig. 15 advantage).
                 efficiency = self.device.gen_matvec_efficiency
@@ -1041,33 +1029,7 @@ class VirtualMachine:
                 # vendor GEMM on compute-bound shapes (why partial library
                 # lowering is the biggest Fig. 17 contributor).
                 efficiency = self.device.gen_gemm_efficiency
-        include_launch = self._replay_depth == 0
-        time = self.device.kernel_time(flops, nbytes, efficiency, include_launch)
-        if not include_launch:
-            time += self.device.graph_kernel_overhead
-        event = None
-        if self.tracer is not None:
-            roofline = self.device.kernel_roofline(flops, nbytes, efficiency)
-            event = self.tracer.emit(
-                "kernel", trace_name or func.name, self.stats.time_s, time, prov,
-                flops=flops, bytes=nbytes, efficiency=efficiency,
-                roofline_s=roofline, launch_s=time - roofline,
-                replayed=not include_launch,
-                shapes=[list(a.shape) for a in list(inputs) + list(outputs)],
-                sym={var.name: int(v) for var, v in (bindings or {}).items()},
-            )
-        self._charge_kernel(time, include_launch)
-        self.stats.kernel_launches += 1
-        return event
-
-    def _charge_kernel(self, time: float, launched: bool) -> None:
-        stats = self.stats
-        stats.time_s += time
-        stats.kernel_time_s += time
-        if launched:
-            stats.launch_overhead_s += self.device.kernel_launch_overhead
-        if self._recorder is not None:
-            self._recorder.kernel(time)
+        return efficiency
 
     def _bind_shapes(self, func: tir.PrimFunc, arrays: List[NDArray], sym_values):
         bindings: Dict[sym.SymVar, int] = {}
@@ -1080,7 +1042,13 @@ class VirtualMachine:
         return bindings
 
     def _kernel_cost(self, name, func, arrays, bindings):
-        key = (name, tuple(a.shape for a in arrays))
+        """(flops, bytes) of one launch, cached on the argument shapes and
+        the explicit symbolic arguments the counts read (:func:`_cost_vars`)."""
+        cost_vars = self._cost_vars.get(name)
+        if cost_vars is None:
+            cost_vars = self._cost_vars[name] = _cost_vars(func)
+        key = (name, tuple(a.shape for a in arrays),
+               *[bindings.get(var) for var in cost_vars])
         cached = self._cost_cache.get(key)
         if cached is not None:
             return cached
@@ -1093,7 +1061,7 @@ class VirtualMachine:
 
     def _exec_builtin(self, func, instr: CallBuiltin, frame: _Frame) -> None:
         args = [frame.regs[r] for r in instr.args]
-        self.stats.builtin_calls += 1
+        self._builtin()
         ts = self.stats.time_s
         if instr.name == "vm.builtin.shape_of":
             arr = args[0]
@@ -1163,13 +1131,7 @@ class VirtualMachine:
             full_bytes = arr.size_bytes()
             if kind == "all_gather":
                 full_bytes *= world
-            comm_s = getattr(self.interconnect, f"{kind}_s")(
-                world, full_bytes
-            )
-            self.stats.time_s += comm_s
-            self.stats.comm_time_s += comm_s
-            if self._recorder is not None:
-                self._recorder.wire(comm_s)
+            self._wire(getattr(self.interconnect, f"{kind}_s")(world, full_bytes))
 
         if not self.concrete:
             shape = list(arr.shape)

@@ -57,10 +57,6 @@ class RequestMetrics:
     spec_checked: int = 0
 
     @property
-    def first_token_s(self) -> Optional[float]:
-        return self.token_times[0] if self.token_times else None
-
-    @property
     def ttft(self) -> Optional[float]:
         if not self.token_times:
             return None

@@ -262,11 +262,6 @@ class PrefixCache:
                 self._by_block[block].last_use = self._tick
         return matched
 
-    def record_miss(self, requested_tokens: int) -> None:
-        """Count an admission lookup that matched nothing."""
-        self.stats.lookups += 1
-        self.stats.requested_tokens += requested_tokens
-
     # -- publish ----------------------------------------------------------------
 
     def insert(self, tokens: Sequence[int], blocks: Sequence[int]) -> int:

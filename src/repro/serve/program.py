@@ -211,11 +211,6 @@ class RequestProgram:
 
     # -- preemption/swap cost hooks ---------------------------------------------
 
-    def swap_tokens(self, private_tokens: int) -> int:
-        """KV tokens that must cross the host link when this request is
-        swapped out (and back in).  Default: every private token."""
-        return private_tokens
-
 
 class LLMProgram(RequestProgram):
     """Chunked prefill, then one decode step per output token."""

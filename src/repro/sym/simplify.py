@@ -102,9 +102,6 @@ class _Poly:
             return self.terms[()]
         return None
 
-    def constant_part(self) -> int:
-        return self.terms.get((), 0)
-
     def key(self) -> Tuple:
         """Hashable canonical key for the whole polynomial."""
         return tuple(sorted((mono, coeff) for mono, coeff in self.terms.items()))

@@ -124,14 +124,6 @@ class Stage:
     def reads(self) -> List[BufferRead]:
         return collect_reads(self.value)
 
-    def read_buffers(self) -> List[Buffer]:
-        out, seen = [], set()
-        for read in self.reads():
-            if read.buffer._id not in seen:
-                seen.add(read.buffer._id)
-                out.append(read.buffer)
-        return out
-
     def iter_domain(self) -> List[Tuple[sym.SymVar, sym.PrimExpr]]:
         return list(self.loop_vars) + list(self.reduce_vars)
 

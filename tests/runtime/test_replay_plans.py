@@ -121,7 +121,7 @@ class _Driver:
     def step(self, kind, a, b):
         vm, cfg, params = self.vm, self.cfg, self.params
         if kind == "reset":
-            vm.reset_stats(reset_pool=a)
+            vm.reset_stats()
             return None
         if kind == "graph":
             for shard in self.graph_vms:
@@ -203,9 +203,9 @@ class _RankVMs:
     def run(self, func_name, *args):
         return [vm.run(func_name, *args) for vm in self.vms][0]
 
-    def reset_stats(self, *, reset_pool=True):
+    def reset_stats(self):
         for vm in self.vms:
-            vm.reset_stats(reset_pool=reset_pool)
+            vm.reset_stats()
 
 
 # An unsharded executable on a mesh has no collectives, so its functions

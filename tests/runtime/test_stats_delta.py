@@ -87,25 +87,6 @@ def test_windowed_metering_equals_uninterrupted_run():
     assert deltas[-1].allocations < deltas[0].allocations
 
 
-def test_reset_stats_keep_pool_preserves_recycling():
-    """reset_stats(reset_pool=False) re-binds the live pool: counters
-    restart but the free list survives, so no re-allocation storm."""
-    vm, params = _vm(enable_memory_planning=False)
-    _decode(vm, params, batch=2, context=8)
-    first = vm.reset_stats(reset_pool=False)
-    assert first.allocations > 0
-    _decode(vm, params, batch=2, context=8)
-    kept_pool_allocs = vm.stats.allocations
-
-    vm2, params2 = _vm(enable_memory_planning=False)
-    _decode(vm2, params2, batch=2, context=8)
-    vm2.reset_stats()  # default: pool dropped (historical behaviour)
-    _decode(vm2, params2, batch=2, context=8)
-    dropped_pool_allocs = vm2.stats.allocations
-
-    assert kept_pool_allocs < dropped_pool_allocs
-
-
 def test_delta_peak_is_absolute_high_water_mark():
     stats = ExecutionStats()
     stats.record_alloc(100)
