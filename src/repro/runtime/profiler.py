@@ -17,8 +17,8 @@ Two allocation modes mirror §5.2's memory study:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 
 @dataclass
@@ -165,7 +165,7 @@ class ExecutionStats:
         self.comm_time_s += other.comm_time_s
 
     def summary(self) -> Dict[str, float]:
-        out = {
+        return {
             "time_s": self.time_s,
             "kernel_launches": self.kernel_launches,
             "lib_calls": self.lib_calls,
@@ -177,49 +177,8 @@ class ExecutionStats:
             "allocations": self.allocations,
             "allocated_MiB": self.allocated_bytes_total / (1 << 20),
             "peak_MiB": self.peak_bytes / (1 << 20),
+            "comm_time_s": self.comm_time_s,
         }
-        # Emitted only when collectives actually ran: single-device
-        # summaries stay byte-identical to their pinned baselines.
-        if self.comm_time_s:
-            out["comm_time_s"] = self.comm_time_s
-        return out
-
-
-@dataclass
-class ProfileReport:
-    """Execution statistics joined with the compile-time pipeline report.
-
-    The pipeline report (per-pass wall time, IR statistics, skip reasons)
-    comes from the ``PassContext`` the module was built under — see
-    :class:`repro.transform.PipelineReport`; it is attached to every
-    ``Executable`` as ``exe.pipeline_report``.  This object is what the
-    benchmark harness serializes alongside measured series, so pass-level
-    compile cost shows up in the perf artifacts.
-    """
-
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-    #: A ``repro.transform.PipelineReport``, when the executable carried one.
-    pipeline_report: Optional[Any] = None
-
-    @classmethod
-    def from_vm(cls, vm) -> "ProfileReport":
-        """Snapshot a VirtualMachine's stats + its executable's report."""
-        return cls(
-            stats=vm.stats,
-            pipeline_report=getattr(vm.exe, "pipeline_report", None),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"execution": self.stats.summary()}
-        if self.pipeline_report is not None:
-            out["pipeline"] = self.pipeline_report.to_dict()
-        return out
-
-    def pass_timings(self) -> Dict[str, float]:
-        """Per-pass compile wall time (empty without a Timing instrument)."""
-        if self.pipeline_report is None:
-            return {}
-        return self.pipeline_report.timings()
 
 
 class RuntimePool:

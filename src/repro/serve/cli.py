@@ -159,19 +159,12 @@ def _validate_cluster_args(args) -> str:
             f"--route {args.route!r} is not a routing policy; "
             f"choose one of: {options}"
         )
-    if args.dp > 1:
-        if args.telemetry or args.prometheus:
-            raise SystemExit(
-                "--dp > 1 does not support --telemetry/--prometheus yet "
-                "(per-replica telemetry is not merged at the fleet "
-                "level); drop those flags or run with --dp 1"
-            )
-        if args.whisper_frac > 0 or args.denoise_frac > 0:
-            raise SystemExit(
-                "--dp > 1 serves LLM-only traces (the router has no "
-                "placement model for heterogeneous requests); drop "
-                "--whisper-frac/--denoise-frac or run with --dp 1"
-            )
+    if args.dp > 1 and (args.telemetry or args.prometheus):
+        raise SystemExit(
+            "--dp > 1 does not support --telemetry/--prometheus yet "
+            "(per-replica telemetry is not merged at the fleet "
+            "level); drop those flags or run with --dp 1"
+        )
     return policy
 
 
@@ -200,8 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         denoise_steps_min=args.denoise_steps_min,
         denoise_steps_max=args.denoise_steps_max,
     )
-    whisper_config = None
-    denoise_config = None
+    models = {"enable_cuda_graph": not args.no_cuda_graph}
     if args.whisper_frac > 0:
         import dataclasses
 
@@ -211,7 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             whisper_models, WHISPER_MODELS[args.whisper_model])
         # Size the compiled bounds (memory planning / graph capture) to
         # the workload actually being served.
-        whisper_config = dataclasses.replace(
+        whisper_config = models["whisper_config"] = dataclasses.replace(
             whisper_config,
             max_frames=args.whisper_frames_max,
             max_target=max(whisper_config.max_target, args.output_max + 1),
@@ -227,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.denoise_frac > 0:
         from ..models import denoise as denoise_models
 
-        denoise_config = getattr(
+        models["denoise_config"] = getattr(
             denoise_models, DENOISE_MODELS[args.denoise_model])
     spec_config = None
     if args.spec_tokens > 0:
@@ -271,19 +263,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg, device,
             ClusterConfig(dp=args.dp, policy=route_policy,
                           engine=engine_config),
-            enable_cuda_graph=not args.no_cuda_graph,
+            **models,
         )
         engines = server.engines
         title = (f"repro.serve cluster: {cfg.name} x{args.dp} on "
                  f"{device.name} (seed {args.seed}, {args.requests} "
                  f"requests, route={route_policy})")
     else:
-        server = ServingEngine(
-            cfg, device, engine_config,
-            whisper_config=whisper_config,
-            denoise_config=denoise_config,
-            enable_cuda_graph=not args.no_cuda_graph,
-        )
+        server = ServingEngine(cfg, device, engine_config, **models)
         engines = [server]
         title = (f"repro.serve: {cfg.name} on {device.name} "
                  f"(seed {args.seed}, {args.requests} requests)")
@@ -336,7 +323,7 @@ def _anomalies(counts) -> str:
 
 def _print_summary(report) -> None:
     """Print an engine report or a fleet report: the shared head, then
-    one section per key the summary carries."""
+    one line per section the summary does not report as ``None``."""
     s = report.summary
     fleet = "routing" in s
     print(f"finished          {s['num_finished']}/{s['num_requests']} "
@@ -352,7 +339,11 @@ def _print_summary(report) -> None:
         print(f"{metric:<17} p50 {_ms(row['p50'])}   "
               f"p90 {_ms(row['p90'])}   "
               f"p99 {_ms(row['p99'])}")
-    if "kv_pool" in s:
+    if fleet:
+        routing = s["routing"]
+        print(f"routing           {routing['assignments']} requests/replica, "
+              f"balance entropy {routing['load_balance_entropy']:.3f}")
+    else:
         pool = s["kv_pool"]
         print(f"kv pool           {pool['num_blocks']} blocks x "
               f"{pool['page_size']} tokens, peak util "
@@ -360,22 +351,46 @@ def _print_summary(report) -> None:
               f"(raw {pool['peak_raw_utilization'] * 100:.0f}%), "
               f"cow copies {pool['cow_copies']}, "
               f"leaked {pool['leaked_blocks']}")
-    if fleet:
-        routing = s["routing"]
-        print(f"routing           {routing['assignments']} requests/replica, "
-              f"balance entropy {routing['load_balance_entropy']:.3f}")
-    if "prefix_cache" in s:
-        pc = s["prefix_cache"]
+    pc = s["prefix_cache"]
+    if pc is not None:
         print(f"prefix cache      {'fleet ' if fleet else ''}hit rate "
               f"{pc['hit_rate'] * 100:.0f}% "
               f"({pc['hits']}/{pc['lookups']} lookups), "
               f"cached tokens {pc['matched_tokens']}/"
               f"{pc['requested_tokens']} "
               f"({pc['cached_token_fraction'] * 100:.0f}%)"
-              + (f", evictions {pc['evictions']}"
-                 if "evictions" in pc else ""))
-    if "spec_decode" in s:
-        sd = s["spec_decode"]
+              + ("" if fleet else f", evictions {pc['evictions']}"))
+    if fleet:
+        fleet_slo = s["fleet_slo"]
+        print(f"fleet slo         {fleet_slo['violations']} violations / "
+              f"{fleet_slo['finished']} finished; "
+              f"anomalies: {_anomalies(fleet_slo['anomaly_counts'])}")
+    else:
+        _print_engine_tail(s)
+    for kind, row in (s["per_type"] or {}).items():
+        print(f"[{kind}]".ljust(18)
+              + f"{row['num_finished']}/{row['num_requests']} finished, "
+              f"ttft p50 {_ms(row['ttft_s']['p50'])}, "
+              f"step p50 {_ms(row['tpot_s']['p50'])}, "
+              f"p99 {_ms(row['tpot_s']['p99'])}")
+    for row in s["per_replica"] if fleet else ():
+        ttft = row["ttft_mean_s"]
+        ttft_txt = f"{ttft * 1e3:.2f} ms" if ttft is not None else "-"
+        line = (f"[replica {row['replica']}]".ljust(18)
+                + f"{row['num_requests']} reqs, "
+                f"makespan {row['makespan_s']:.3f}s, "
+                f"ttft mean {ttft_txt}, "
+                f"kv peak {row['kv_peak_utilization'] * 100:.0f}%")
+        if row["prefix_cache_hit_rate"] is not None:
+            line += f", cache hits {row['prefix_cache_hit_rate'] * 100:.0f}%"
+        print(line)
+
+
+def _print_engine_tail(s) -> None:
+    """The engine-only lines after the prefix cache: speculation,
+    preemptions and telemetry."""
+    sd = s["spec_decode"]
+    if sd is not None:
         rate = sd["acceptance_rate"]
         per_pos = sd["per_position_acceptance"]
         print(f"speculation       k={sd['num_spec_tokens']} "
@@ -387,38 +402,15 @@ def _print_summary(report) -> None:
             print(f"                  per-position acceptance "
                   f"{per_pos * 100:.0f}% "
                   f"(configured quality {sd['draft_quality'] * 100:.0f}%)")
-    if "swap_time_s" in s:
-        print(f"preemptions       {s['preemptions']} "
-              f"(swap time {s['swap_time_s'] * 1e3:.2f} ms)")
-    if "telemetry" in s:
-        tl = s["telemetry"]
+    print(f"preemptions       {s['preemptions']} "
+          f"(swap time {s['swap_time_s'] * 1e3:.2f} ms)")
+    tl = s["telemetry"]
+    if tl is not None:
         print(f"telemetry         {tl['num_metrics']} metrics, "
               f"{tl['num_spans']} spans; window attainment "
               f"ttft {_pct(tl['window_ttft_attainment'])} / "
               f"tpot {_pct(tl['window_tpot_attainment'])}; "
               f"anomalies: {_anomalies(tl['anomaly_counts'])}")
-    if "fleet_slo" in s:
-        fleet_slo = s["fleet_slo"]
-        print(f"fleet slo         {fleet_slo['violations']} violations / "
-              f"{fleet_slo['finished']} finished; "
-              f"anomalies: {_anomalies(fleet_slo['anomaly_counts'])}")
-    for kind, row in s.get("per_type", {}).items():
-        print(f"[{kind}]".ljust(18)
-              + f"{row['num_finished']}/{row['num_requests']} finished, "
-              f"ttft p50 {_ms(row['ttft_s']['p50'])}, "
-              f"step p50 {_ms(row['tpot_s']['p50'])}, "
-              f"p99 {_ms(row['tpot_s']['p99'])}")
-    for row in s.get("per_replica", ()):
-        ttft = row["ttft_mean_s"]
-        ttft_txt = f"{ttft * 1e3:.2f} ms" if ttft is not None else "-"
-        line = (f"[replica {row['replica']}]".ljust(18)
-                + f"{row['num_requests']} reqs, "
-                f"makespan {row['makespan_s']:.3f}s, "
-                f"ttft mean {ttft_txt}, "
-                f"kv peak {row['kv_peak_utilization'] * 100:.0f}%")
-        if "prefix_cache_hit_rate" in row:
-            line += f", cache hits {row['prefix_cache_hit_rate'] * 100:.0f}%"
-        print(line)
 
 
 def _print_replay_plans(engines) -> None:

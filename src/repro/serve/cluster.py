@@ -24,8 +24,10 @@ Routing policies are pluggable (:data:`ROUTING_POLICIES`):
   nothing matches.
 
 A dp=1 cluster degenerates to the plain engine: the single replica's
-:class:`~repro.serve.engine.ServeReport` is byte-identical to a direct
-``ServingEngine.run()`` on the same (arrival-ordered) trace.
+:class:`~repro.serve.engine.ServeReport` equals a direct
+``ServingEngine.run()`` on the same (arrival-ordered) trace.  The fleet
+summary is schema 2 (:data:`~repro.serve.metrics.SCHEMA_VERSION`): one
+key set whatever the replicas ran, ``None`` where a section is inactive.
 """
 
 from __future__ import annotations
@@ -171,8 +173,6 @@ class ClusterConfig:
     policy: str = "round_robin"
     #: Per-replica engine configuration, shared by every replica.
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Fleet SLO monitor windows (anomalies over the merged finish stream).
-    slo: SLOConfig = field(default_factory=SLOConfig)
 
     def __post_init__(self):
         if self.dp < 1:
@@ -251,7 +251,6 @@ class ClusterEngine:
             policy=self.policy.name,
             replica_reports=reports,
             assignments=assignments,
-            slo_config=self.cconfig.slo,
             slo_ttft_s=self.cconfig.engine.slo_ttft_s,
             slo_tpot_s=self.cconfig.engine.slo_tpot_s,
         )
@@ -327,7 +326,6 @@ class ClusterReport:
         policy: str,
         replica_reports: List[ServeReport],
         assignments: List[Tuple[int, int]],
-        slo_config: SLOConfig,
         slo_ttft_s: float,
         slo_tpot_s: float,
     ) -> "ClusterReport":
@@ -356,7 +354,8 @@ class ClusterReport:
         per_replica: List[Dict[str, Any]] = []
         for i, rep in enumerate(replica_reports):
             s = rep.summary
-            row: Dict[str, Any] = {
+            cache = s["prefix_cache"]
+            per_replica.append({
                 "replica": i,
                 "num_requests": s["num_requests"],
                 "makespan_s": s["makespan_s"],
@@ -366,16 +365,16 @@ class ClusterReport:
                 "tpot_mean_s": s["tpot_s"]["mean"],
                 "preemptions": s["preemptions"],
                 "kv_peak_utilization": s["kv_pool"]["peak_utilization"],
-            }
-            if "prefix_cache" in s:
-                row["prefix_cache_hit_rate"] = s["prefix_cache"]["hit_rate"]
-                row["cached_token_fraction"] = (
-                    s["prefix_cache"]["cached_token_fraction"]
-                )
-            per_replica.append(row)
+                "prefix_cache_hit_rate": (
+                    cache["hit_rate"] if cache is not None else None),
+                "cached_token_fraction": (
+                    cache["cached_token_fraction"]
+                    if cache is not None else None),
+            })
         summary["per_replica"] = per_replica
         caches = [rep.summary["prefix_cache"] for rep in replica_reports
-                  if "prefix_cache" in rep.summary]
+                  if rep.summary["prefix_cache"] is not None]
+        summary["prefix_cache"] = None
         if caches:
             # Fleet cache effectiveness: counters sum across replicas,
             # rates recompute from the sums.
@@ -396,7 +395,7 @@ class ClusterReport:
         # Fleet SLO monitor: the merged finish stream in event order
         # ((finish_s, req_id) — deterministic across policies).
         monitor = SLOMonitor(
-            slo_config, slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s
+            SLOConfig(), slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s
         )
         finished = sorted(
             (m for m in all_metrics if m.finish_s is not None),

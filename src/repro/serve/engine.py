@@ -118,21 +118,17 @@ class EngineConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     slo_ttft_s: float = 1.0
     slo_tpot_s: float = 0.1
-    #: Speculative decoding (draft/verify).  ``None`` — the default —
-    #: keeps the engine byte-identical to its vanilla behaviour: same
-    #: schedule, same records, same trace, same summary JSON.
+    #: Speculative decoding (draft/verify); ``None`` — the default —
+    #: decodes one token per step and reports ``spec_decode: null``.
     spec: Optional[SpecConfig] = None
-    #: Serve-layer telemetry (:mod:`repro.serve.telemetry`).  ``None`` —
-    #: the default — emits no telemetry and keeps summary/trace bytes
-    #: identical to the untelemetered engine (pinned by baseline-hash
-    #: tests); any config object turns on the metrics registry,
-    #: lifecycle spans and the SLO monitor.
+    #: Serve-layer telemetry (:mod:`repro.serve.telemetry`): a config
+    #: object turns on the metrics registry, lifecycle spans and the SLO
+    #: monitor; ``None`` — the default — reports ``telemetry: null``.
     telemetry: Optional[TelemetryConfig] = None
     #: Tensor-parallel width.  ``tp > 1`` builds the sharded module
     #: (Megatron column/row-parallel blocks, head-sharded KV pools) and
     #: serves it on a :class:`~repro.dist.MeshExecutor` of ``tp`` device
-    #: models; ``tp=1`` — the default — is byte-identical to the
-    #: unsharded engine.
+    #: models; ``tp=1`` — the default — serves the unsharded module.
     tp: int = 1
     #: Link model for the mesh collectives (``repro.dist.NVLINK`` /
     #: ``PCIE`` / any :class:`~repro.dist.Interconnect`).  ``None``
@@ -519,7 +515,7 @@ class ServingEngine:
         kv.check_no_leaks()
         refcount_audit = kv.refcount_audit()
         if tel is not None:
-            tel.finalize(clock=clock, kv=kv)
+            tel.finalize(clock=clock, refcount_audit=refcount_audit)
         total = ExecutionStats.merge_serial([
             vm.stats.delta(s) for vm, s in zip(self._vms, run.stats_start)
         ])
@@ -531,6 +527,9 @@ class ServingEngine:
             kv_utilization_samples=run.util_samples,
         )
         summary["vm"] = total.summary()
+        summary["comm_fraction"] = (
+            total.comm_time_s / total.time_s if total.time_s else 0.0
+        )
         summary["swap_time_s"] = run.swap_total_s
         summary["kv_pool"] = {
             "num_blocks": self.num_blocks,
@@ -541,9 +540,11 @@ class ServingEngine:
             "peak_raw_utilization": kv.peak_used_blocks / self.num_blocks,
             "cow_copies": kv.cow_copies,
             "leaked_blocks": 0,  # check_no_leaks() raised otherwise
+            "refcount_audit": refcount_audit,
         }
-        if cache is not None:
-            summary["prefix_cache"] = cache.stats.to_dict()
+        summary["prefix_cache"] = (
+            cache.stats.to_dict() if cache is not None else None)
+        summary["spec_decode"] = None
         if spec is not None:
             proposed = sum(s.metrics.spec_proposed for s in states.values())
             accepted = sum(s.metrics.spec_accepted for s in states.values())
@@ -569,17 +570,7 @@ class ServingEngine:
                     accepted / checked if checked else None
                 ),
             }
-        if tel is not None:
-            # Telemetry-gated keys: the telemetry-off summary byte
-            # format is pinned by the baseline-hash tests, and the
-            # telemetry-on single-device format by the strip-equality
-            # test — so comm_fraction additionally needs a mesh.
-            summary["kv_pool"]["refcount_audit"] = refcount_audit
-            summary["telemetry"] = tel.summary_brief()
-            if self.tp > 1:
-                summary["comm_fraction"] = (
-                    total.comm_time_s / total.time_s if total.time_s else 0.0
-                )
+        summary["telemetry"] = tel.summary_brief() if tel is not None else None
         report = ServeReport(
             device=self.device.name,
             model=self.cfg.name,
@@ -589,7 +580,6 @@ class ServingEngine:
             trace_events=run.trace_events,
             stats=total,
             telemetry=tel,
-            refcount_audit=refcount_audit,
         )
         self._run = None
         return report
@@ -717,17 +707,12 @@ class ServingEngine:
             "cache_hits": len(it.cache_hits),
             "cached_tokens": sum(n for _, n in it.cache_hits),
             "queue_depth": run.sched.queue_depth,
+            "steps": paths.count("step"),
+            "chunk_tokens": chunk_tokens,
+            "spec_batch": paths.count("spec"),
+            "spec_proposed": sum(s.spec_k or 0 for s in it.steps),
+            "spec_accepted": sum(it.spec_accepted.values()),
         }
-        # Heterogeneous keys only appear when such work was scheduled, so
-        # single-type (LLM-only) runs keep their exact legacy records.
-        if "step" in paths or chunk_tokens:
-            record["steps"] = paths.count("step")
-            record["chunk_tokens"] = chunk_tokens
-        # Speculative keys likewise: vanilla runs must stay byte-identical.
-        if "spec" in paths:
-            record["spec_batch"] = paths.count("spec")
-            record["spec_proposed"] = sum(s.spec_k or 0 for s in it.steps)
-            record["spec_accepted"] = sum(it.spec_accepted.values())
         run.iterations.append(record)
         # Engine track (pid 0 / tid 0): one slice per iteration plus a
         # KV-utilisation counter.
@@ -790,13 +775,8 @@ class ServeReport:
     trace_events: List[Dict[str, Any]]
     stats: ExecutionStats
     #: :class:`~repro.serve.telemetry.EngineTelemetry` when the run was
-    #: telemetered, else ``None``.  In-memory field; serialized (under a
-    #: ``"telemetry"`` key / extra trace tracks) only when present.
+    #: telemetered, else ``None`` (serialized as ``"telemetry": null``).
     telemetry: Optional[EngineTelemetry] = None
-    #: Allocator accounting snapshot taken at teardown, *always*
-    #: populated (the refcount audit is cheap); folded into the summary
-    #: only behind the telemetry gate.
-    refcount_audit: Optional[Dict[str, Any]] = None
 
     def chrome_trace(self) -> Dict[str, Any]:
         """Perfetto-compatible trace: engine track + one track/request.
@@ -830,9 +810,11 @@ class ServeReport:
         return write_chrome_trace(self.chrome_trace(), path)
 
     def to_dict(self) -> Dict[str, Any]:
-        out_requests = []
-        for r in self.requests:
-            d = {
+        return {
+            "device": self.device,
+            "model": self.model,
+            "summary": self.summary,
+            "requests": [{
                 "req_id": r.req_id,
                 "arrival_s": r.arrival_s,
                 "prompt_len": r.prompt_len,
@@ -842,23 +824,14 @@ class ServeReport:
                 "finish_s": r.finish_s,
                 "preemptions": r.preemptions,
                 "cached_prompt_tokens": r.cached_prompt_tokens,
-            }
-            if r.kind != "llm":
-                d["kind"] = r.kind
-            if r.spec_proposed:
-                d["spec_proposed"] = r.spec_proposed
-                d["spec_accepted"] = r.spec_accepted
-            out_requests.append(d)
-        out = {
-            "device": self.device,
-            "model": self.model,
-            "summary": self.summary,
-            "requests": out_requests,
+                "kind": r.kind,
+                "spec_proposed": r.spec_proposed,
+                "spec_accepted": r.spec_accepted,
+            } for r in self.requests],
             "iterations": self.iterations,
+            "telemetry": (self.telemetry.to_dict()
+                          if self.telemetry is not None else None),
         }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.to_dict()
-        return out
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)

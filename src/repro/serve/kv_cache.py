@@ -517,10 +517,9 @@ class PagedKVCache:
     def refcount_audit(self) -> Dict[str, object]:
         """Structured snapshot of the allocator's exact-accounting state.
 
-        The engine attaches this to every :class:`ServeReport` at
-        teardown (after :meth:`check_no_leaks`), and folds it into the
-        run *summary* only when telemetry is enabled — the summary's
-        byte format with telemetry off is pinned by baseline hashes.
+        The engine takes it once per run at teardown (after
+        :meth:`check_no_leaks`) and reports it as the summary's
+        ``kv_pool.refcount_audit``; telemetry exports the same dict.
         """
         cached = (
             self.prefix_cache.cached_blocks()

@@ -83,6 +83,13 @@ class RequestMetrics:
         return self.finish_s - self.arrival_s
 
 
+#: Version of the serving report layout.  Schema 2: every record kind
+#: (engine summary, fleet summary, iteration record, request row) has one
+#: fixed key set; a section that does not apply to a run is ``None``,
+#: never absent (DESIGN.md §9).
+SCHEMA_VERSION = 2
+
+
 def summarize(
     requests: Sequence[RequestMetrics],
     *,
@@ -90,16 +97,12 @@ def summarize(
     slo_tpot_s: float = 0.1,
     queue_depth_samples: Sequence[int] = (),
     kv_utilization_samples: Sequence[float] = (),
-    kinds: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
-    """Aggregate a finished run into one JSON-ready dict.
+    """Aggregate a finished run into one JSON-ready dict (schema 2).
 
-    ``kinds`` optionally names every request type the *workload*
-    contained.  The per-type breakdown is keyed on the union of this and
-    the kinds present in ``requests`` — so a type whose requests were all
-    rejected before reaching the engine still appears, with zero counts
-    and ``None`` distribution fields, instead of silently vanishing from
-    the breakdown (consumers diffing sweeps rely on a stable key set).
+    ``per_type`` breaks the latency distributions out per request kind
+    and is ``None`` when the run served a single kind; ``queue_depth``
+    and ``kv_block_utilization`` are ``None`` without samples.
     """
     done = [r for r in requests if r.finish_s is not None]
     ttfts = [r.ttft for r in done if r.ttft is not None]
@@ -118,6 +121,7 @@ def summarize(
     dist = _shared_dist
 
     summary: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
         "num_requests": len(requests),
         "num_finished": len(done),
         "makespan_s": makespan,
@@ -136,15 +140,13 @@ def summarize(
         "itl_s": dist(itls),
         "preemptions": sum(r.preemptions for r in requests),
     }
-    all_kinds = sorted({r.kind for r in requests} | set(kinds or ()))
-    if all_kinds and all_kinds != ["llm"]:
-        # Heterogeneous run: break the latency distributions out per
-        # request type.  For iterative-denoise requests ``itl_s`` is the
-        # per-step latency distribution (each "token" is one denoise
-        # iteration).  LLM-only runs omit this key so their summaries are
-        # byte-identical to the pre-heterogeneous format.
-        per_type: Dict[str, Any] = {}
-        for kind in all_kinds:
+    kinds = sorted({r.kind for r in requests})
+    per_type: Optional[Dict[str, Any]] = None
+    if len(kinds) > 1:
+        # For iterative-denoise requests ``itl_s`` is the per-step
+        # latency distribution (each "token" is one denoise iteration).
+        per_type = {}
+        for kind in kinds:
             kdone = [r for r in done if r.kind == kind]
             per_type[kind] = {
                 "num_requests": sum(1 for r in requests if r.kind == kind),
@@ -157,15 +159,13 @@ def summarize(
                     r.preemptions for r in requests if r.kind == kind
                 ),
             }
-        summary["per_type"] = per_type
-    if queue_depth_samples:
-        summary["queue_depth"] = {
-            "mean": sum(queue_depth_samples) / len(queue_depth_samples),
-            "max": max(queue_depth_samples),
-        }
-    if kv_utilization_samples:
-        summary["kv_block_utilization"] = {
-            "mean": sum(kv_utilization_samples) / len(kv_utilization_samples),
-            "max": max(kv_utilization_samples),
-        }
+    summary["per_type"] = per_type
+    summary["queue_depth"] = _mean_max(queue_depth_samples)
+    summary["kv_block_utilization"] = _mean_max(kv_utilization_samples)
     return summary
+
+
+def _mean_max(samples: Sequence[float]) -> Optional[Dict[str, float]]:
+    if not samples:
+        return None
+    return {"mean": sum(samples) / len(samples), "max": max(samples)}

@@ -61,8 +61,8 @@ def _unit(h: int) -> float:
 class SpecConfig:
     """Speculative-decoding knobs for :class:`~repro.serve.EngineConfig`.
 
-    ``None`` (the default on the engine config) means speculation is off
-    and the engine byte-identically reproduces its vanilla behaviour.
+    ``None`` (the default on the engine config) means speculation is off:
+    the engine runs its vanilla schedule and reports ``spec_decode: null``.
     """
 
     #: Draft tokens proposed per speculative step (k).  Each step costs k

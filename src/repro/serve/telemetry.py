@@ -10,23 +10,21 @@ extended Perfetto tracks (scheduler/pool counters, lifecycle spans, and
 engine clock, provenance and all).
 
 **Determinism contract.**  Telemetry reads engine state; it never
-writes any.  With ``telemetry=None`` (the default) the engine's
-summary JSON and Perfetto trace are byte-identical to the untelemetered
-engine — pinned by the PR 7 baseline hashes in
-``tests/serve/test_spec_decode.py``.  With telemetry *on*, every
-counter, gauge, histogram, span and anomaly record derives from the
-deterministic discrete-event simulation, so two same-seed runs emit
-byte-identical telemetry JSON and Prometheus text.  There is no wall
-time anywhere: "sliding windows" slide on the analytical clock, and
-histogram percentiles are exact nearest-rank values over the window
-(:mod:`repro.obs.stats`) — never streaming approximations, which would
-trade determinism for memory this simulation does not need to save.
+writes any: a telemetered run's report equals the plain run's once
+its telemetry sections are nulled.  Every counter, gauge, histogram,
+span and anomaly record derives from the deterministic discrete-event
+simulation, so two same-seed runs emit byte-identical telemetry JSON
+and Prometheus text.  There is no wall time anywhere: "sliding windows"
+slide on the analytical clock, and histogram percentiles are exact
+nearest-rank values over the window (:mod:`repro.obs.stats`) — never
+streaming approximations, which would trade determinism for memory
+this simulation does not need to save.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.spans import SpanRecorder
@@ -252,10 +250,6 @@ class TelemetryConfig:
     window_s: Optional[float] = None
     #: Merge VM kernel/library events into the Perfetto export.
     capture_kernels: bool = False
-    #: SLO monitor knobs (objectives come from the engine config).
-    slo: SLOConfig = field(default_factory=SLOConfig)
-    #: Prometheus metric-name prefix.
-    prefix: str = "repro_serve"
 
 
 #: Perfetto process ids of the serve export: 0 = engine iterations and
@@ -271,18 +265,17 @@ class EngineTelemetry:
     step folds the whole serve stack into the registry/spans/SLO state.
 
     Pure observer — it must never influence scheduling, token identity
-    or the clock (the telemetry-off byte-identity tests enforce this
-    transitively: any leak of telemetry state into engine decisions
-    would show up as a vanilla hash drift the moment it lands).
+    or the clock (``test_telemetry_defaults_off_and_changes_nothing``
+    compares a telemetered report with the plain one).
     """
 
     def __init__(self, config: TelemetryConfig, *, slo_ttft_s: float,
                  slo_tpot_s: float, vm_names: Sequence[str],
                  max_num_seqs: int, max_num_batched_tokens: int):
         self.config = config
-        self.registry = MetricsRegistry(prefix=config.prefix)
+        self.registry = MetricsRegistry()
         self.spans = SpanRecorder()
-        self.slo = SLOMonitor(config.slo, slo_ttft_s=slo_ttft_s,
+        self.slo = SLOMonitor(SLOConfig(), slo_ttft_s=slo_ttft_s,
                               slo_tpot_s=slo_tpot_s)
         self.vm_names = list(vm_names)
         self._max_seqs = max_num_seqs
@@ -572,9 +565,12 @@ class EngineTelemetry:
 
     # -- teardown ---------------------------------------------------------------
 
-    def finalize(self, *, clock: float, kv) -> None:
+    def finalize(self, *, clock: float,
+                 refcount_audit: Dict[str, Any]) -> None:
+        """Close the run at ``clock``; ``refcount_audit`` is the engine's
+        teardown audit of the KV pool (exported unchanged)."""
         self.spans.finalize(clock)
-        self.refcount_audit = kv.refcount_audit()
+        self.refcount_audit = refcount_audit
         reg = self.registry
         att = self.slo.window_ttft_attainment
         if att is not None:
@@ -616,7 +612,7 @@ class EngineTelemetry:
             "config": {
                 "window_s": self.config.window_s,
                 "capture_kernels": self.config.capture_kernels,
-                "prefix": self.config.prefix,
+                "prefix": self.registry.prefix,
             },
             "metrics": self.registry.to_dict(),
             "slo": self.slo.snapshot(),

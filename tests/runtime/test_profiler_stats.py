@@ -1,15 +1,8 @@
-"""ExecutionStats merging/summary, RuntimePool recycling, ProfileReport."""
+"""ExecutionStats merging/summary, RuntimePool recycling."""
 
-import json
-
-import numpy as np
 import pytest
 
-from repro import ops, transform
-from repro.core import BlockBuilder, TensorAnn, const
-from repro.runtime import TEST_DEVICE, VirtualMachine
-from repro.runtime.ndarray import NDArray
-from repro.runtime.profiler import ExecutionStats, ProfileReport, RuntimePool
+from repro.runtime.profiler import ExecutionStats, RuntimePool
 
 
 class TestExecutionStats:
@@ -150,36 +143,3 @@ class TestRuntimePool:
         pool.allocate(100)
         assert stats.peak_bytes == 100
         assert stats.current_bytes == 100
-
-
-def _vm():
-    bb = BlockBuilder()
-    with bb.function("main", {"x": TensorAnn(("n", 4), "f32")}) as frame:
-        (x,) = frame.params
-        w = const(np.ones((4, 4), np.float32))
-        with bb.dataflow():
-            h = bb.emit(ops.matmul(x, w))
-            gv = bb.emit_output(bb.emit(ops.relu(h)))
-        bb.emit_func_output(gv)
-    exe = transform.build(bb.get(), TEST_DEVICE,
-                          sym_var_upper_bounds={"n": 64})
-    vm = VirtualMachine(exe, TEST_DEVICE, concrete=True)
-    vm.run("main", NDArray.from_numpy(np.ones((8, 4), np.float32)))
-    return vm
-
-
-class TestProfileReport:
-    def test_to_dict_round_trip_without_pipeline(self):
-        report = ProfileReport(stats=ExecutionStats(time_s=1.5, lib_calls=2))
-        d = json.loads(json.dumps(report.to_dict()))
-        assert d["execution"]["time_s"] == 1.5
-        assert "pipeline" not in d
-        assert report.pass_timings() == {}
-
-    def test_to_dict_round_trip_with_pipeline(self):
-        vm = _vm()
-        report = ProfileReport.from_vm(vm)
-        d = json.loads(json.dumps(report.to_dict(), default=str))
-        assert d["execution"]["kernel_launches"] == vm.stats.kernel_launches
-        if report.pipeline_report is not None:
-            assert "pipeline" in d

@@ -255,12 +255,6 @@ class TestClusterCLIValidation:
         with pytest.raises(SystemExit, match="--prometheus"):
             cli_main(["--dp", "2", "--prometheus", "m.prom"])
 
-    def test_rejects_hetero_mix_with_dp(self):
-        with pytest.raises(SystemExit, match="LLM-only"):
-            cli_main(["--dp", "2", "--whisper-frac", "0.5"])
-        with pytest.raises(SystemExit, match="LLM-only"):
-            cli_main(["--dp", "2", "--denoise-frac", "0.5"])
-
     def test_route_aliases_accept_short_and_full_names(self):
         from repro.serve.cli import ROUTE_ALIASES, build_parser
 

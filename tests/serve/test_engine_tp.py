@@ -84,17 +84,20 @@ def test_tp_charges_comm_time_tp1_does_not():
     two = _engine(tp=2).run(generate(_workload()))
     assert two.stats.comm_time_s > 0
     assert one.stats.comm_time_s == 0
-    # The summary surfaces comm time only when it exists, so tp=1
-    # serialization is byte-identical to the pre-mesh engine.
-    assert "comm_time_s" in two.summary["vm"]
-    assert "comm_time_s" not in one.summary["vm"]
+    # The summary carries comm time always: 0.0 without collectives.
+    assert two.summary["vm"]["comm_time_s"] == two.stats.comm_time_s
+    assert one.summary["vm"]["comm_time_s"] == 0.0
 
 
 def test_tp_comm_fraction_is_telemetry_gated():
+    # Not gated any more: the fraction is reported with or without
+    # telemetry, and is 0.0 on a single device.
     plain = _engine().run(generate(_workload()))
-    assert "comm_fraction" not in plain.summary
+    assert 0 < plain.summary["comm_fraction"] < 1
     told = _engine(telemetry=TelemetryConfig()).run(generate(_workload()))
-    assert 0 < told.summary["comm_fraction"] < 1
+    assert told.summary["comm_fraction"] == plain.summary["comm_fraction"]
+    one = _engine(tp=1).run(generate(_workload()))
+    assert one.summary["comm_fraction"] == 0.0
 
 
 def test_tp_per_shard_counter_tracks_in_trace():

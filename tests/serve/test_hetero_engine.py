@@ -54,13 +54,10 @@ def test_mixed_run_finishes_with_per_type_metrics():
         assert row["num_finished"] == sum(1 for r in wl if r.kind == kind)
         assert row["ttft_s"]["p50"] > 0
         assert row["tpot_s"]["p50"] is None or row["tpot_s"]["p50"] > 0
-    # Request dicts carry the kind tag for non-LLM requests only.
+    # Every request row carries its kind tag.
     by_id = {d["req_id"]: d for d in report.to_dict()["requests"]}
     for r in wl:
-        if r.kind == "llm":
-            assert "kind" not in by_id[r.req_id]
-        else:
-            assert by_id[r.req_id]["kind"] == r.kind
+        assert by_id[r.req_id]["kind"] == r.kind
 
 
 def test_mixed_runs_are_deterministic():
@@ -119,10 +116,11 @@ def test_hetero_trace_has_phase_slices_per_request(tmp_path):
 def test_llm_only_reports_keep_the_legacy_schema():
     wl = generate(_workload(whisper_fraction=0.0, denoise_fraction=0.0))
     report = _engine().run(wl)
+    # Schema 2: the heterogeneous sections are present and inactive.
     d = report.to_dict()
-    assert "per_type" not in d["summary"]
-    assert all("kind" not in r for r in d["requests"])
-    assert all("steps" not in it and "chunk_tokens" not in it
+    assert d["summary"]["per_type"] is None
+    assert all(r["kind"] == "llm" for r in d["requests"])
+    assert all(it["steps"] == it["chunk_tokens"] == 0
                for it in d["iterations"])
 
 

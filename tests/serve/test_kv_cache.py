@@ -93,6 +93,24 @@ def test_freed_block_reuse_is_deterministic():
     assert alloc.allocate() == a
 
 
+def test_release_then_reallocate_same_length_yields_same_block_row():
+    """``release_sequence`` frees a sequence's blocks in reverse order, so
+    re-allocating the same length off the LIFO list rebuilds the released
+    block-table row — even when another sequence's pages interleave."""
+    kv = PagedKVCache(16, 4)
+    kv.add_sequence(0)
+    kv.add_sequence(1)
+    for _ in range(3):  # pages alternate: 0, 1, 0, 1, 0, 1
+        kv.append(0, 4)
+        kv.append(1, 4)
+    row = kv.block_table([0])[0].tolist()
+    assert row != sorted(row, reverse=True)  # not trivially LIFO-shaped
+    kv.release_sequence(0)
+    kv.add_sequence(2)
+    kv.append(2, 12)
+    assert kv.block_table([2])[0].tolist() == row
+
+
 def test_double_free_detected():
     alloc = BlockAllocator(2)
     blk = alloc.allocate()

@@ -12,9 +12,12 @@ element count.  Mixed-kind runs compare their span and trace-event lists
 as sorted multisets: stepped work of different request kinds in one
 iteration is recorded in scheduling order (DESIGN.md §18).
 
-Every golden was produced by the commit *before* the change that added
-it (the ``vanilla_*`` ones reproduce the bytes of the engine before
-speculative decoding existed).  Run as a script::
+The reports are schema 2 (DESIGN.md §9): ``test_one_key_set_per_record_kind``
+checks that every engine summary, fleet summary, iteration record and
+request row across the scenarios has one key set, inactive sections
+``None``.  A golden is rewritten only by a change meant to move it; a
+new scenario's golden comes from the change that adds it.  Run as a
+script::
 
     PYTHONPATH=src python tests/serve/test_serve_goldens.py regen
     PYTHONPATH=src python tests/serve/test_serve_goldens.py dump DIR
@@ -299,7 +302,7 @@ def _cli(extra, mixed=False):
             "stdout": ("text", stdout.getvalue()),
             "out.summary": ("json", doc.pop("summary")),
         }
-        if "telemetry" in doc:
+        if doc.get("telemetry") is not None:
             out["out.spans"] = ("list", doc["telemetry"].pop("spans"), mixed)
         out["out"] = ("list", [doc], False)
         if "--telemetry" in argv:
@@ -338,7 +341,16 @@ SCENARIOS = {
     "cli_dp2_affinity": lambda: _cli(
         ["--dp", "2", "--route", "affinity"] + _CLI_PREFIX),
     "cli_dp3_lb": lambda: _cli(["--dp", "3", "--route", "lb"] + _CLI_PREFIX),
+    "cli_dp2_mixed": lambda: _cli(
+        ["--dp", "2", "--route", "lb", "--whisper-frac", "0.3",
+         "--denoise-frac", "0.2", "--kv-blocks", "24"], mixed=True),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _artifacts(name):
+    """Each scenario runs once per pytest process (runs are deterministic)."""
+    return SCENARIOS[name]()
 
 
 # -- storage and comparison ------------------------------------------------------
@@ -383,7 +395,7 @@ def _first_diff(got, want, path="$"):
 
 
 def check_golden(name):
-    doc, texts = _stored(SCENARIOS[name]())
+    doc, texts = _stored(_artifacts(name))
     want = json.loads((GOLDENS / f"{name}.json").read_text())
     assert _first_diff(doc, want, name) is None
     for suffix, text in texts.items():
@@ -416,6 +428,70 @@ def test_scenarios_exercise_what_they_claim():
     assert summary("tp2_spec_telemetry")["comm_fraction"] > 0
     assert set(summary("mixed_swap")["per_type"]) == {
         "llm", "whisper", "denoise"}
+
+
+# -- schema 2 --------------------------------------------------------------------
+
+#: Keys whose values are keyed by data (request kinds, anomaly kinds)
+#: rather than being fixed sections: their keys are not a schema.
+_MAPS = {"per_type", "anomaly_counts", "anomalies"}
+
+
+def _records(artifacts):
+    """``(record kind, record)`` for every report record of a scenario."""
+    def engine(summary, requests, iterations):
+        yield "engine_summary", summary
+        yield from (("request", row) for row in requests)
+        yield from (("iteration", it) for it in iterations)
+
+    def fleet(summary, replicas):
+        yield "fleet_summary", summary
+        for rep in replicas:
+            yield from engine(rep["summary"], rep["requests"],
+                              rep["iterations"])
+
+    arts = {name: art[1] for name, art in artifacts.items()}
+    if "out" in arts:  # a CLI run: the --out document
+        doc = arts["out"][0]
+        if "replicas" in doc:
+            yield from fleet(arts["out.summary"], doc["replicas"])
+        else:
+            yield from engine(arts["out.summary"], doc["requests"],
+                              doc["iterations"])
+    elif "replicas" in arts:
+        yield from fleet(arts["summary"], arts["replicas"])
+    else:
+        yield from engine(arts["summary"], arts["requests"],
+                          arts["iterations"])
+
+
+def _key_sets(obj, path, out):
+    """Add the key set of ``obj`` and of every non-null section below it
+    to ``out[path]``; values of a ``_MAPS`` key are checked under ``*``."""
+    if isinstance(obj, list):
+        for item in obj:
+            _key_sets(item, f"{path}[]", out)
+    elif isinstance(obj, dict):
+        out.setdefault(path, set()).add(frozenset(obj))
+        for key, value in obj.items():
+            if key not in _MAPS:
+                _key_sets(value, f"{path}.{key}", out)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    _key_sets(item, f"{path}.{key}.*", out)
+
+
+def test_one_key_set_per_record_kind():
+    shapes = {}
+    for name in SCENARIOS:
+        for kind, record in _records(_artifacts(name)):
+            if kind.endswith("summary"):
+                assert record["schema"] == 2, name
+            _key_sets(record, kind, shapes)
+    assert {"engine_summary", "fleet_summary", "iteration",
+            "request"} <= set(shapes)
+    assert {path: sets for path, sets in shapes.items()
+            if len(sets) > 1} == {}
 
 
 def _main(argv):

@@ -2,13 +2,11 @@
 
 Three invariant families pin the draft/verify mode:
 
-1. **Pre-PR byte identity** — a non-speculative run's summary, request
+1. **Vanilla goldens** — a non-speculative run's summary, request
    rows, iterations and Perfetto trace equal the structural goldens
-   (``goldens/vanilla_*.json``) captured from the bytes the engine
-   produced *before* speculative decoding existed, across three
-   canonical configs (plain, pool pressure, prefix sharing) and both
-   device models.  Speculation is a strictly additive feature: with
-   ``spec=None`` not one byte moves.
+   (``goldens/vanilla_*.json``) across three canonical configs (plain,
+   pool pressure, prefix sharing) and both device models; its
+   speculative sections are present and inactive.
 
 2. **Token-stream equality** — speculation may change *when* tokens are
    produced, never *which*: every request's output token stream under
@@ -82,15 +80,16 @@ def test_vanilla_run_byte_identical_to_pre_spec_engine(config, device):
 
 
 def test_vanilla_reports_carry_no_spec_keys():
+    # Schema 2: the speculative sections are present and inactive.
     report = _run("plain", DEVICES[0])
-    assert "spec_decode" not in report.summary
+    assert report.summary["spec_decode"] is None
     for rec in report.iterations:
-        assert "spec_batch" not in rec
-        assert "spec_proposed" not in rec
+        assert rec["spec_batch"] == rec["spec_proposed"] == 0
+        assert rec["spec_accepted"] == 0
     for ev in report.trace_events:
         assert ev["name"] != "spec_decode"
     for row in report.to_dict()["requests"]:
-        assert "spec_proposed" not in row
+        assert row["spec_proposed"] == row["spec_accepted"] == 0
 
 
 # ---------------------------------------------------------------------------

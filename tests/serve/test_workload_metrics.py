@@ -197,7 +197,7 @@ def test_summarize_single_request_needs_no_guards():
 
 def test_per_type_breakdown_gated_on_heterogeneous_runs():
     llm = _metrics(0.0, [0.1, 0.2])
-    assert "per_type" not in summarize([llm])
+    assert summarize([llm])["per_type"] is None
 
     whisper = _metrics(0.0, [0.3, 0.4, 0.5])
     whisper.kind = "whisper"
@@ -208,29 +208,6 @@ def test_per_type_breakdown_gated_on_heterogeneous_runs():
     assert row["total_output_tokens"] == 3
     assert row["ttft_s"]["p50"] == pytest.approx(0.3)
     assert s["per_type"]["llm"]["total_output_tokens"] == 2
-
-
-def test_per_type_breakdown_emits_declared_but_absent_kinds():
-    """``kinds=`` names every type the *workload* contained; a type whose
-    requests never reached the engine still appears with zero counts and
-    ``None`` distribution fields instead of vanishing (sweep consumers
-    diff summaries and rely on a stable key set)."""
-    import json
-
-    llm = _metrics(0.0, [0.1, 0.2])
-    s = summarize([llm], kinds=["llm", "whisper"])
-    assert set(s["per_type"]) == {"llm", "whisper"}
-    row = s["per_type"]["whisper"]
-    assert row["num_requests"] == row["num_finished"] == 0
-    assert row["total_output_tokens"] == 0
-    assert row["preemptions"] == 0
-    for key in ("ttft_s", "tpot_s", "itl_s"):
-        assert row[key] == {"mean": None, "p50": None, "p90": None,
-                            "p99": None}
-    json.loads(json.dumps(s, allow_nan=False))
-    # Declaring only the kinds actually present keeps the homogeneous
-    # gate: an LLM-only run stays byte-identical to the legacy format.
-    assert "per_type" not in summarize([llm], kinds=["llm"])
 
 
 def _metrics(arrival, token_times):
