@@ -30,8 +30,9 @@ nesting Perfetto infers from containment, which
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 @dataclass
@@ -52,22 +53,15 @@ class Span:
         return self.end_s - self.start_s
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "req_id": self.req_id,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "depth": self.depth,
-            "args": self.args,
-        }
+        return dataclasses.asdict(self)
 
 
 class SpanRecorder:
     """Builds request-lifecycle spans from engine scheduling decisions.
 
-    The engine drives it with one call per scheduler event; the recorder
-    owns all segment bookkeeping (open phase windows, open preemption
-    windows, the root span) so the engine loop stays declarative.
+    The telemetry fold drives it with one call per logged scheduler
+    event; the recorder owns all segment bookkeeping (open phase
+    windows, open preemption windows, the root span).
     Determinism: spans are appended in engine-iteration order, which is
     itself deterministic, so two same-seed runs produce byte-identical
     span lists.
@@ -78,12 +72,11 @@ class SpanRecorder:
         #: req_id -> (admit_ts, root args) for requests whose root span
         #: is still open.
         self._open_root: Dict[int, Tuple[float, Dict[str, Any]]] = {}
-        #: req_id -> (phase label, start, args) open activity segment.
-        self._open_phase: Dict[int, Tuple[str, float, Dict[str, Any]]] = {}
+        #: req_id -> [phase label, start, latest activity end] of the
+        #: open activity segment.
+        self._open_phase: Dict[int, List[Any]] = {}
         #: req_id -> (mode, start) open preemption window.
         self._open_preempt: Dict[int, Tuple[str, float]] = {}
-        #: req_id -> latest activity end for the open phase segment.
-        self._phase_end: Dict[int, float] = {}
 
     # -- lifecycle events --------------------------------------------------------
 
@@ -106,21 +99,18 @@ class SpanRecorder:
         """Swapped-out request restored to the device at ``t``."""
         self._close_preempt(req_id, t, **args)
 
-    def activity(self, req_id: int, phase: str, t0: float, t1: float,
-                 **args: Any) -> None:
+    def activity(self, req_id: int, phase: str, t0: float,
+                 t1: float) -> None:
         """The request did ``phase`` work over ``[t0, t1]`` — contiguous
         or gapped same-phase windows merge into one segment."""
         open_seg = self._open_phase.get(req_id)
         if open_seg is not None and open_seg[0] == phase:
-            self._phase_end[req_id] = t1
+            open_seg[2] = t1
             return
-        if open_seg is not None:
-            self._close_phase(req_id, t0)
-        self._open_phase[req_id] = (phase, t0, dict(args))
-        self._phase_end[req_id] = t1
+        self._close_phase(req_id, t0)
+        self._open_phase[req_id] = [phase, t0, t1]
 
-    def preempted(self, req_id: int, t: float, mode: str,
-                  **args: Any) -> None:
+    def preempted(self, req_id: int, t: float, mode: str) -> None:
         self._close_phase(req_id, t)
         self._open_preempt[req_id] = (mode, t)
 
@@ -142,12 +132,7 @@ class SpanRecorder:
         for req_id in sorted(self._open_preempt):
             self._close_preempt(req_id, t)
         for req_id in sorted(self._open_root):
-            admit_ts, root_args = self._open_root[req_id]
-            root_args["unfinished"] = True
-            self.spans.append(
-                Span("request", req_id, admit_ts, t, depth=0,
-                     args=root_args))
-        self._open_root.clear()
+            self.finished(req_id, t, unfinished=True)
 
     # -- internals ---------------------------------------------------------------
 
@@ -155,9 +140,9 @@ class SpanRecorder:
         seg = self._open_phase.pop(req_id, None)
         if seg is None:
             return
-        phase, start, args = seg
-        end = min(max(self._phase_end.pop(req_id, t), start), max(t, start))
-        self.spans.append(Span(phase, req_id, start, end, depth=1, args=args))
+        phase, start, end = seg
+        end = min(max(end, start), max(t, start))
+        self.spans.append(Span(phase, req_id, start, end, depth=1))
 
     def _close_preempt(self, req_id: int, t: float, **args: Any) -> None:
         win = self._open_preempt.pop(req_id, None)

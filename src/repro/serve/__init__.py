@@ -49,7 +49,7 @@ from .scheduler import (
     SchedulerConfig,
     Step,
 )
-from .slo import SLOConfig, SLOMonitor
+from .slo import SLOMonitor
 from .spec import SpecConfig, TokenOracle
 from .telemetry import (
     Counter,
@@ -104,7 +104,6 @@ __all__ = [
     "RequestMetrics",
     "RequestProgram",
     "RequestState",
-    "SLOConfig",
     "SLOMonitor",
     "SchedulerConfig",
     "ServeReport",

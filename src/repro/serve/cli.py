@@ -159,12 +159,6 @@ def _validate_cluster_args(args) -> str:
             f"--route {args.route!r} is not a routing policy; "
             f"choose one of: {options}"
         )
-    if args.dp > 1 and (args.telemetry or args.prometheus):
-        raise SystemExit(
-            "--dp > 1 does not support --telemetry/--prometheus yet "
-            "(per-replica telemetry is not merged at the fleet "
-            "level); drop those flags or run with --dp 1"
-        )
     return policy
 
 

@@ -28,20 +28,30 @@ A dp=1 cluster degenerates to the plain engine: the single replica's
 ``ServingEngine.run()`` on the same (arrival-ordered) trace.  The fleet
 summary is schema 2 (:data:`~repro.serve.metrics.SCHEMA_VERSION`): one
 key set whatever the replicas ran, ``None`` where a section is inactive.
+
+The fleet's record is a merge: the replicas' event logs interleaved on
+the cluster clock, tagged with the replica index, plus one
+:class:`~repro.serve.log.Route` per routing decision.  Routing counts,
+fleet prefix-cache sums, the fleet SLO monitor and fleet telemetry are
+folds over it (:mod:`repro.serve.log`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..models.llama import LlamaConfig
 from ..runtime.device import Device
 from ..runtime.profiler import ExecutionStats
 from .engine import EngineConfig, ServeReport, ServingEngine
+from .log import Route, RunStart, merge, of_type, total_counters
 from .metrics import summarize
-from .slo import SLOConfig, SLOMonitor
+from .prefix_cache import PrefixCacheStats
+from .slo import fleet_slo
+from .telemetry import EngineTelemetry
 from .workload import Request, WorkloadConfig, generate
 
 
@@ -233,7 +243,7 @@ class ClusterEngine:
         for e in engines:
             e.reset()
         try:
-            assignments = self._route_and_drain(requests)
+            routes = self._route_and_drain(requests)
         except BaseException:
             for e in engines:
                 e.reset()
@@ -250,16 +260,13 @@ class ClusterEngine:
             model=self.cfg.name,
             policy=self.policy.name,
             replica_reports=reports,
-            assignments=assignments,
-            slo_ttft_s=self.cconfig.engine.slo_ttft_s,
-            slo_tpot_s=self.cconfig.engine.slo_tpot_s,
+            routes=routes,
         )
 
-    def _route_and_drain(self, requests: Sequence[Request]
-                         ) -> List[Tuple[int, int]]:
-        """The event loop; returns ``(req_id, replica)`` in routing order."""
+    def _route_and_drain(self, requests: Sequence[Request]) -> List[Route]:
+        """The event loop; returns the routing decisions in order."""
         unrouted = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        assignments: List[Tuple[int, int]] = []  # (req_id, replica)
+        routes: List[Route] = []
         engines = self.engines
         while unrouted or any(e.has_work for e in engines):
             busy = [i for i, e in enumerate(engines) if e.has_work]
@@ -277,12 +284,12 @@ class ClusterEngine:
                         f"{r.req_id} to replica {idx} of {len(engines)}"
                     )
                 engines[idx].submit([r])
-                assignments.append((r.req_id, idx))
+                routes.append(Route(r.arrival_s, r.req_id, idx))
                 continue
             # Advance the lagging replica (lowest clock, ties by index).
             idx = min(busy, key=lambda i: (engines[i].clock, i))
             engines[idx].step()
-        return assignments
+        return routes
 
 
 def _load_balance_entropy(counts: Sequence[int]) -> float:
@@ -314,8 +321,8 @@ class ClusterReport:
     policy: str
     summary: Dict[str, Any]
     replica_reports: List[ServeReport]
-    #: ``(req_id, replica)`` in routing (arrival) order.
-    assignments: List[Tuple[int, int]]
+    #: The fleet log: replica logs merged on the cluster clock + routes.
+    log: List[Any]
 
     @classmethod
     def build(
@@ -325,26 +332,25 @@ class ClusterReport:
         model: str,
         policy: str,
         replica_reports: List[ServeReport],
-        assignments: List[Tuple[int, int]],
-        slo_ttft_s: float,
-        slo_tpot_s: float,
+        routes: List[Route],
     ) -> "ClusterReport":
         dp = len(replica_reports)
+        log = merge(routes, [rep.log for rep in replica_reports])
+        start = of_type(log, RunStart)[0][1]  # every replica's is the same
+        slo = dict(slo_ttft_s=start.slo_ttft_s, slo_tpot_s=start.slo_tpot_s)
         all_metrics = [m for rep in replica_reports for m in rep.requests]
         # Deterministic fleet order: by request id (each id lives on
         # exactly one replica).
         all_metrics.sort(key=lambda m: m.req_id)
-        summary = summarize(
-            all_metrics, slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s,
-        )
+        summary = summarize(all_metrics, **slo)
         # Replicas ran concurrently on independent clocks: fleet VM
         # stats follow the lockstep conventions (wall max, counter sum).
         summary["vm"] = ExecutionStats.merge_parallel(
             [rep.stats for rep in replica_reports]
         ).summary()
         counts = [0] * dp
-        for _, idx in assignments:
-            counts[idx] += 1
+        for _, route in of_type(log, Route):
+            counts[route.replica] += 1
         summary["routing"] = {
             "policy": policy,
             "dp": dp,
@@ -372,38 +378,18 @@ class ClusterReport:
                     if cache is not None else None),
             })
         summary["per_replica"] = per_replica
-        caches = [rep.summary["prefix_cache"] for rep in replica_reports
-                  if rep.summary["prefix_cache"] is not None]
         summary["prefix_cache"] = None
-        if caches:
+        if start.prefix_cache:
             # Fleet cache effectiveness: counters sum across replicas,
             # rates recompute from the sums.
-            fleet = {key: sum(c[key] for c in caches) for key in (
-                "lookups", "hits", "requested_tokens", "matched_tokens")}
-            summary["prefix_cache"] = {
-                "lookups": fleet["lookups"],
-                "hits": fleet["hits"],
-                "hit_rate": (fleet["hits"] / fleet["lookups"]
-                             if fleet["lookups"] else 0.0),
-                "requested_tokens": fleet["requested_tokens"],
-                "matched_tokens": fleet["matched_tokens"],
-                "cached_token_fraction": (
-                    fleet["matched_tokens"] / fleet["requested_tokens"]
-                    if fleet["requested_tokens"] else 0.0
-                ),
-            }
-        # Fleet SLO monitor: the merged finish stream in event order
-        # ((finish_s, req_id) — deterministic across policies).
-        monitor = SLOMonitor(
-            SLOConfig(), slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s
-        )
-        finished = sorted(
-            (m for m in all_metrics if m.finish_s is not None),
-            key=lambda m: (m.finish_s, m.req_id),
-        )
-        for i, m in enumerate(finished):
-            monitor.on_finish(m, t_s=m.finish_s, iteration=i)
-        summary["fleet_slo"] = monitor.snapshot()
+            c = total_counters(log)
+            stats = PrefixCacheStats(
+                lookups=c.lookups, hits=c.hits,
+                requested_tokens=c.requested_tokens,
+                matched_tokens=c.matched_tokens).to_dict()
+            del stats["inserts"], stats["evictions"]
+            summary["prefix_cache"] = stats
+        summary["fleet_slo"] = fleet_slo(log, **slo)
         return cls(
             device=device,
             model=model,
@@ -411,8 +397,20 @@ class ClusterReport:
             policy=policy,
             summary=summary,
             replica_reports=replica_reports,
-            assignments=assignments,
+            log=log,
         )
+
+    @cached_property
+    def assignments(self) -> List[Tuple[int, int]]:
+        """``(req_id, replica)`` in routing (arrival) order."""
+        return [(r.req_id, r.replica) for _, r in of_type(self.log, Route)]
+
+    @cached_property
+    def telemetry(self) -> Optional[EngineTelemetry]:
+        """Fleet telemetry — the engine fold over the fleet log — when
+        the replicas were telemetered, else ``None``."""
+        tel = self.replica_reports[0].telemetry
+        return None if tel is None else EngineTelemetry(self.log, tel.window_s)
 
     # -- export ------------------------------------------------------------------
 

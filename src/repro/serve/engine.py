@@ -25,21 +25,42 @@ the default) a :class:`~repro.serve.prefix_cache.PrefixCache` indexes
 finished prompts' full pages; later prompts sharing a prefix attach
 those blocks instead of recomputing them.  See
 :mod:`repro.serve.kv_cache` for the shared-ownership model.
+
+The engine observes a run in one way only: it appends events to the
+run's log (:mod:`repro.serve.log`).  Iteration records, Perfetto events,
+the summary's samples, swap time and speculation totals, and telemetry
+are folds over it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..models.llama import LlamaConfig
+from ..obs.trace import TraceRecorder
 from ..runtime import NDArray, PlanCacheInfo, VirtualMachine
 from ..runtime.device import Device
 from ..runtime.profiler import ExecutionStats
 from .kv_cache import CacheError, PagedKVCache
+from .log import (
+    Arrival,
+    Counters,
+    Finish,
+    Gauges,
+    IterationEvent,
+    Participation,
+    RunStart,
+    Teardown,
+    iteration_records,
+    of_type,
+    trace_events,
+)
 from .metrics import RequestMetrics, summarize
-from .prefix_cache import PrefixCache
+from .prefix_cache import PrefixCache, PrefixCacheStats
 from .program import PROGRAMS, program_for
 from .spec import SpecConfig, TokenOracle
 from .telemetry import EngineTelemetry, TelemetryConfig
@@ -53,6 +74,7 @@ from .scheduler import (
 from .workload import Request, WorkloadConfig, generate
 
 
+@dataclass(eq=False)
 class _RunState:
     """Mutable state of one in-flight serving run.
 
@@ -65,34 +87,30 @@ class _RunState:
     compiled VMs persist across runs.
     """
 
-    def __init__(self, *, kv: PagedKVCache, cache: Optional[PrefixCache],
-                 sched: ContinuousBatchingScheduler, oracle: TokenOracle,
-                 tel: Optional[EngineTelemetry],
-                 token_bytes: int, ctl_cap: int,
-                 stats_start: List[ExecutionStats]):
-        self.kv = kv
-        self.cache = cache
-        self.sched = sched
-        self.oracle = oracle
-        self.tel = tel
-        self.token_bytes = token_bytes
-        self.stats_start = stats_start
-        #: Submitted requests in submission order (report order).
-        self.requests: List[Request] = []
-        self.states: Dict[int, RequestState] = {}
-        #: Submitted but not yet admitted, sorted by (arrival_s, req_id).
-        self.pending: List[Request] = []
-        self.clock = 0.0
-        self.iterations: List[Dict[str, Any]] = []
-        self.trace_events: List[Dict[str, Any]] = []
-        self.queue_samples: List[int] = []
-        self.util_samples: List[float] = []
-        self.swap_total_s = 0.0
-        # Acceptance-aware speculative-width controller state (windowed
-        # proposal/accept counters); inert unless ``spec.adaptive``.
-        self.ctl_proposed = 0
-        self.ctl_accepted = 0
-        self.ctl_cap = ctl_cap
+    kv: PagedKVCache
+    cache: Optional[PrefixCache]
+    sched: ContinuousBatchingScheduler
+    oracle: TokenOracle
+    #: The run's event log (:mod:`repro.serve.log`).
+    log: List[Any]
+    #: The VMs' own tracers while kernel capture has replaced them.
+    saved_tracers: Optional[List[Any]]
+    token_bytes: int
+    stats_start: List[ExecutionStats]
+    #: Acceptance-aware speculative-width controller state (windowed
+    #: proposal/accept counters); inert unless ``spec.adaptive``.
+    ctl_cap: int
+    ctl_proposed: int = 0
+    ctl_accepted: int = 0
+    #: Cumulative allocator / COW / prefix-cache counters at the last
+    #: iteration event (the next event logs the difference).
+    counters: Counters = Counters()
+    #: Submitted requests in submission order (report order).
+    requests: List[Request] = field(default_factory=list)
+    states: Dict[int, RequestState] = field(default_factory=dict)
+    #: Submitted but not yet admitted, sorted by (arrival_s, req_id).
+    pending: List[Request] = field(default_factory=list)
+    clock: float = 0.0
 
 
 #: Cap on a KV pool sized from the device's VRAM.
@@ -105,6 +123,8 @@ _HOST_LINK_BANDWIDTH = 16e9
 #: Acceptance-rate band of the adaptive speculation controller
 #: (``SpecConfig.adaptive``): below it the width shrinks, above it grows.
 _ADAPT_LOW, _ADAPT_HIGH = 0.5, 0.8
+#: Counter source of a run without prefix caching (all zeros).
+_NO_CACHE = PrefixCacheStats()
 
 
 @dataclass
@@ -122,8 +142,9 @@ class EngineConfig:
     #: decodes one token per step and reports ``spec_decode: null``.
     spec: Optional[SpecConfig] = None
     #: Serve-layer telemetry (:mod:`repro.serve.telemetry`): a config
-    #: object turns on the metrics registry, lifecycle spans and the SLO
-    #: monitor; ``None`` — the default — reports ``telemetry: null``.
+    #: object folds the run's log into the metrics registry, lifecycle
+    #: spans and the SLO monitor at report time; ``None`` — the default —
+    #: reports ``telemetry: null``.
     telemetry: Optional[TelemetryConfig] = None
     #: Tensor-parallel width.  ``tp > 1`` builds the sharded module
     #: (Megatron column/row-parallel blocks, head-sharded KV pools) and
@@ -219,6 +240,9 @@ class ServingEngine:
         if denoise_config is not None:
             self.models["denoise"] = (RelaxDenoise(denoise_config, device), [])
         self._vms = [runner.vm for runner, _ in self.models.values()]
+        #: ``(index, vm)`` of every tensor-parallel VM (per-rank stats).
+        self._meshes = [(i, vm) for i, vm in enumerate(self._vms)
+                        if len(getattr(vm, "shard_stats", ())) > 1]
         #: The in-flight run, if any (see the steppable core below).
         self._run: Optional[_RunState] = None
 
@@ -319,6 +343,8 @@ class ServingEngine:
             )
         if run is None:
             run = self._run = self._begin_run()
+        run.log.extend(Arrival(r.arrival_s, r.req_id, r.kind, r.prompt_len,
+                               r.output_len) for r in requests)
         run.states.update(states)
         run.requests.extend(requests)
         run.pending.extend(requests)
@@ -340,19 +366,23 @@ class ServingEngine:
             draft_quality=spec.draft_quality if spec is not None else 0.0,
         )
         sched.spec_k_cap = None
-        tel: Optional[EngineTelemetry] = None
-        if econf.telemetry is not None:
-            tel = EngineTelemetry(
-                econf.telemetry,
-                slo_ttft_s=econf.slo_ttft_s,
-                slo_tpot_s=econf.slo_tpot_s,
-                vm_names=list(self.models),
-                max_num_seqs=econf.scheduler.max_num_seqs,
-                max_num_batched_tokens=econf.scheduler.max_num_batched_tokens,
-            )
-            tel.attach(self._vms)
+        capture = (econf.telemetry is not None
+                   and econf.telemetry.capture_kernels)
+        saved = None
+        if capture:
+            # Kernel events are VM facts: a live tracer per VM, drained
+            # into each iteration event.
+            saved = [vm.tracer for vm in self._vms]
+            for vm in self._vms:
+                vm.tracer = TraceRecorder()
+        log: List[Any] = [RunStart(
+            self.num_blocks, econf.page_size, econf.scheduler.max_num_seqs,
+            econf.scheduler.max_num_batched_tokens, econf.slo_ttft_s,
+            econf.slo_tpot_s, tuple(self.models), cache is not None,
+            capture)]
         return _RunState(
-            kv=kv, cache=cache, sched=sched, oracle=oracle, tel=tel,
+            kv=kv, cache=cache, sched=sched, oracle=oracle, log=log,
+            saved_tracers=saved,
             token_bytes=self._block_bytes() // econf.page_size,
             ctl_cap=spec.num_spec_tokens if spec is not None else 0,
             stats_start=[vm.stats.copy() for vm in self._vms],
@@ -385,11 +415,11 @@ class ServingEngine:
         feedback).  ``None`` between runs."""
         return self._run
 
-    def step(self) -> Optional[Dict[str, Any]]:
+    def step(self) -> Optional[IterationEvent]:
         """Advance the run by one scheduler iteration.
 
-        Returns the iteration record when work was executed, or ``None``
-        when the engine only advanced its clock to the next pending
+        Returns the logged iteration event when work was executed, or
+        ``None`` when the engine only advanced its clock to the next pending
         arrival (call again) or has fully drained (``has_work`` is then
         False).  Raises :class:`CacheError` when the scheduler is
         stalled with no way to make progress.
@@ -399,9 +429,9 @@ class ServingEngine:
         try:
             return self._step(self._run)
         except BaseException:
-            # Engine VMs persist across runs: never leave a telemetry
+            # Engine VMs persist across runs: never leave a kernel-capture
             # tracer attached, even when the step raises.
-            self._teardown_telemetry()
+            self._detach_tracers()
             raise
 
     def drain(self) -> None:
@@ -409,7 +439,7 @@ class ServingEngine:
         while self.has_work:
             self.step()
 
-    def _step(self, run: _RunState) -> Optional[Dict[str, Any]]:
+    def _step(self, run: _RunState) -> Optional[IterationEvent]:
         econf = self.econfig
         sched = run.sched
         # Admit arrivals up to the current simulated time.
@@ -443,17 +473,15 @@ class ServingEngine:
 
         self._execute(it)
 
-        delta = ExecutionStats.merge_serial([
-            vm.stats.delta(b) for vm, b in zip(self._vms, before)
-        ])
-        run.clock = t_begin + delta.time_s + swap_s
-        run.swap_total_s += swap_s
+        deltas = [vm.stats.delta(b) for vm, b in zip(self._vms, before)]
+        run.clock = (t_begin + ExecutionStats.merge_serial(deltas).time_s
+                     + swap_s)
 
-        self._advance(it, run)
+        parts, finished = self._advance(it, run)
         spec = self.spec
         if spec is not None and spec.adaptive:
             run.ctl_proposed += sum(s.spec_k or 0 for s in it.steps)
-            run.ctl_accepted += sum(it.spec_accepted.values())
+            run.ctl_accepted += sum(p.accepted for p in parts)
             if run.ctl_proposed >= spec.adapt_window:
                 rate = run.ctl_accepted / run.ctl_proposed
                 if rate < _ADAPT_LOW:
@@ -462,31 +490,62 @@ class ServingEngine:
                     run.ctl_cap = min(spec.num_spec_tokens, run.ctl_cap + 1)
                 sched.spec_k_cap = run.ctl_cap
                 run.ctl_proposed = run.ctl_accepted = 0
-        self._record(it, run, t_begin, swap_s, delta)
-        if run.tel is not None:
-            run.tel.on_iteration(
-                it=it, sched=sched, kv=run.kv, cache=run.cache,
-                index=len(run.iterations) - 1,
-                t_begin=t_begin, t_end=run.clock, swap_s=swap_s,
-                delta=delta, before=before, vms=self._vms,
-            )
-        run.queue_samples.append(sched.queue_depth)
-        # Required utilization: cache-only (reclaimable) blocks are
-        # spare VRAM, not load; identical to raw when caching is off.
-        run.util_samples.append(run.kv.required_utilization())
-        return run.iterations[-1]
+        run.log.append(self._observe(
+            it, run, t_begin, swap_s, deltas, before, parts, finished))
+        return run.log[-1]
 
-    def _teardown_telemetry(self) -> None:
+    def _observe(self, it: Iteration, run: _RunState, t_begin: float,
+                 swap_s: float, deltas: List[ExecutionStats],
+                 before: List[ExecutionStats], parts: List[Participation],
+                 finished: List[Finish]) -> IterationEvent:
+        """The iteration's event: its work and bookkeeping, the scheduler
+        and pool state it left, and counter deltas read at their source."""
+        kv, sched, cache = run.kv, run.sched, run.cache
+        alloc = kv.allocator
+        stats = cache.stats if cache is not None else _NO_CACHE
+        counters = Counters(
+            alloc.allocated_total, alloc.freed_total, alloc.ref_drops_total,
+            alloc.shares_total, kv.cow_copies, stats.lookups, stats.hits,
+            stats.requested_tokens, stats.matched_tokens, stats.inserts,
+            stats.evictions)
+        last, run.counters = run.counters, counters
+        kernels = ()
+        if run.saved_tracers is not None:
+            kernels = tuple((b.time_s, tuple(vm.tracer.events))
+                            for vm, b in zip(self._vms, before))
+            for vm in self._vms:
+                vm.tracer.clear()
+        return IterationEvent(
+            t_begin, run.clock, swap_s, tuple(deltas), tuple(parts),
+            tuple(s.seq_id for s in it.admitted),
+            tuple((s.seq_id, n) for s, n in it.swapped_in),
+            tuple((s.seq_id, n, mode) for s, n, mode in it.preempted),
+            tuple((s.seq_id, n) for s, n in it.cache_hits),
+            tuple(finished), it.num_batched_tokens,
+            Gauges(len(sched.waiting), len(sched.swapped),
+                   len(sched.running), alloc.num_used, alloc.num_free,
+                   kv.num_reclaimable_blocks, kv.fragmentation(),
+                   sched.unevictable_blocks),
+            Counters(*map(operator.sub, counters, last)),
+            tuple((i, tuple((s.comm_time_s, s.time_s, s.current_bytes)
+                            for s in vm.shard_stats))
+                  for i, vm in self._meshes),
+            kernels,
+        )
+
+    def _detach_tracers(self) -> None:
         run = self._run
-        if run is not None and run.tel is not None:
-            run.tel.detach(self._vms)
+        if run is not None and run.saved_tracers is not None:
+            for vm, saved in zip(self._vms, run.saved_tracers):
+                vm.tracer = saved
+            run.saved_tracers = None
 
     def reset(self) -> None:
         """Drop the active run, if any, leaving the engine as built: the
-        compiled VMs persist across runs, so telemetry tracers come off
-        them before the run state is forgotten.  Every ``run()`` — this
-        engine's and the cluster's — starts and, on error, ends here."""
-        self._teardown_telemetry()
+        compiled VMs persist across runs, so kernel-capture tracers come
+        off them before the run state is forgotten.  Every ``run()`` —
+        this engine's and the cluster's — starts and, on error, ends here."""
+        self._detach_tracers()
         self._run = None
 
     def report(self) -> "ServeReport":
@@ -505,32 +564,37 @@ class ServingEngine:
         run = self._run
         econf = self.econfig
         spec = self.spec
-        self._teardown_telemetry()
+        self._detach_tracers()
         kv = run.kv
         cache = run.cache
-        tel = run.tel
         states = run.states
-        clock = run.clock
 
         kv.check_no_leaks()
         refcount_audit = kv.refcount_audit()
-        if tel is not None:
-            tel.finalize(clock=clock, refcount_audit=refcount_audit)
+        run.log.append(Teardown(run.clock, refcount_audit))
+        tel = None
+        if econf.telemetry is not None:
+            tel = EngineTelemetry(run.log, econf.telemetry.window_s)
         total = ExecutionStats.merge_serial([
             vm.stats.delta(s) for vm, s in zip(self._vms, run.stats_start)
         ])
+        events = [e for _, e in of_type(run.log, IterationEvent)]
+        # Required utilization: cache-only (reclaimable) blocks are
+        # spare VRAM, not load; identical to raw when caching is off.
+        gauges = [e.gauges for e in events]
         summary = summarize(
             [s.metrics for s in states.values()],
             slo_ttft_s=econf.slo_ttft_s,
             slo_tpot_s=econf.slo_tpot_s,
-            queue_depth_samples=run.queue_samples,
-            kv_utilization_samples=run.util_samples,
+            queue_depth_samples=[g.waiting + g.swapped for g in gauges],
+            kv_utilization_samples=[
+                (g.used - g.reclaimable) / self.num_blocks for g in gauges],
         )
         summary["vm"] = total.summary()
         summary["comm_fraction"] = (
             total.comm_time_s / total.time_s if total.time_s else 0.0
         )
-        summary["swap_time_s"] = run.swap_total_s
+        summary["swap_time_s"] = sum(e.swap_s for e in events)
         summary["kv_pool"] = {
             "num_blocks": self.num_blocks,
             "page_size": econf.page_size,
@@ -546,9 +610,13 @@ class ServingEngine:
             cache.stats.to_dict() if cache is not None else None)
         summary["spec_decode"] = None
         if spec is not None:
-            proposed = sum(s.metrics.spec_proposed for s in states.values())
-            accepted = sum(s.metrics.spec_accepted for s in states.values())
-            checked = sum(s.metrics.spec_checked for s in states.values())
+            drafts = [p for e in events for p in e.participations
+                      if p.path == "spec"]
+            proposed = sum(p.spec_k for p in drafts)
+            accepted = sum(p.accepted for p in drafts)
+            # Greedy matching examines positions up to the first miss.
+            checked = sum(p.accepted + (p.accepted < p.spec_k)
+                          for p in drafts)
             summary["spec_decode"] = {
                 "num_spec_tokens": spec.num_spec_tokens,
                 "draft_quality": spec.draft_quality,
@@ -576,8 +644,7 @@ class ServingEngine:
             model=self.cfg.name,
             summary=summary,
             requests=[states[r.req_id].metrics for r in run.requests],
-            iterations=run.iterations,
-            trace_events=run.trace_events,
+            log=run.log,
             stats=total,
             telemetry=tel,
         )
@@ -629,8 +696,10 @@ class ServingEngine:
                     *runner.params,
                 )
 
-    def _advance(self, it: Iteration, run: _RunState) -> None:
-        """Commit token production and completions at the run's clock.
+    def _advance(self, it: Iteration, run: _RunState
+                 ) -> Tuple[List[Participation], List[Finish]]:
+        """Commit token production and completions at the run's clock;
+        returns what each planned item did and who finished.
 
         Token *identity* always comes from the oracle, indexed by output
         position — so any execution strategy (vanilla, speculative,
@@ -638,6 +707,8 @@ class ServingEngine:
         only the timestamps differ.
         """
         clock, oracle = run.clock, run.oracle
+        parts: List[Participation] = []
+        finished: List[Finish] = []
 
         def commit(state: RequestState, units: int) -> None:
             metrics = state.metrics
@@ -650,8 +721,13 @@ class ServingEngine:
             if state.done:
                 metrics.finish_s = clock
                 run.sched.finish(state)
+                finished.append(Finish(
+                    state.seq_id, metrics.ttft, metrics.tpot,
+                    metrics.e2e_latency, len(metrics.token_times),
+                    metrics.preemptions))
 
-        for state, _, k in it.steps:
+        for step in it.steps:
+            state, ctx, k = step
             n = 0
             if k is not None:
                 # Greedy-match acceptance: the emitted stream is the
@@ -664,8 +740,6 @@ class ServingEngine:
                     n += 1
                 state.metrics.spec_proposed += k
                 state.metrics.spec_accepted += n
-                state.metrics.spec_checked += n if n == k else n + 1
-                it.spec_accepted[state.seq_id] = n
                 # Exact rollback: the scheduler appended k + 1 KV tokens
                 # optimistically; the k - n rejected tail tokens come
                 # back out, returning fully-vacated tail pages to the
@@ -673,94 +747,21 @@ class ServingEngine:
                 if k - n:
                     run.kv.rollback(state.seq_id, k - n)
             commit(state, n + 1)
-        for state, _, _, _ in it.chunks:
-            if (
-                state.program.batched_decode
-                and state.phase is Phase.DECODE
-                and state.prefilled == state.prefill_target
-                and state.generated == 0
-            ):
-                # Final prefill chunk yields the first output token.
-                commit(state, 1)
-
-    def _record(self, it: Iteration, run: _RunState, t_begin: float,
-                swap_s: float, delta: ExecutionStats) -> None:
-        t_end, kv, events = run.clock, run.kv, run.trace_events
-        idx = len(run.iterations)
-        us = 1e6
-        paths = [s.path for s in it.steps]
-        prefill_tokens = sum(
-            c.units for c in it.chunks if c.state.program.batched_decode)
-        chunk_tokens = sum(c.units for c in it.chunks) - prefill_tokens
-        record = {
-            "index": idx,
-            "start_s": t_begin,
-            "dur_s": t_end - t_begin,
-            "decode_batch": paths.count("decode"),
-            "prefill_tokens": prefill_tokens,
-            "num_batched_tokens": it.num_batched_tokens,
-            "preemptions": len(it.preempted),
-            "swap_s": swap_s,
-            "kernel_launches": delta.kernel_launches,
-            "free_blocks": kv.num_free_blocks,
-            "reclaimable_blocks": kv.num_reclaimable_blocks,
-            "cache_hits": len(it.cache_hits),
-            "cached_tokens": sum(n for _, n in it.cache_hits),
-            "queue_depth": run.sched.queue_depth,
-            "steps": paths.count("step"),
-            "chunk_tokens": chunk_tokens,
-            "spec_batch": paths.count("spec"),
-            "spec_proposed": sum(s.spec_k or 0 for s in it.steps),
-            "spec_accepted": sum(it.spec_accepted.values()),
-        }
-        run.iterations.append(record)
-        # Engine track (pid 0 / tid 0): one slice per iteration plus a
-        # KV-utilisation counter.
-        events.append({
-            "name": f"iteration[{idx}]",
-            "ph": "X", "pid": 0, "tid": 0,
-            "ts": t_begin * us, "dur": (t_end - t_begin) * us,
-            "args": {
-                "decode_batch": record["decode_batch"],
-                "prefill_tokens": prefill_tokens,
-                "preemptions": len(it.preempted),
-            },
-        })
-        events.append({
-            "name": "kv_used_blocks",
-            "ph": "C", "pid": 0, "tid": 0,
-            "ts": t_end * us,
-            "args": {"used": kv.allocator.num_used},
-        })
-
-        def on_track(state: RequestState, name: str, ph: str = "X",
-                     **args: Any) -> None:
-            # Request tracks (pid 1, one tid per request): a slice per
-            # iteration the request took part in, instants otherwise.
-            event = {"name": name, "ph": ph, "pid": 1, "tid": state.seq_id,
-                     "ts": t_begin * us}
-            if ph == "X":
-                event["dur"] = (t_end - t_begin) * us
-            else:
-                event["s"] = "t"
-            event["args"] = args
-            events.append(event)
-
-        for path, (state, ctx, k) in zip(paths, it.steps):
-            if path == "spec":
-                on_track(state, "spec_decode", ctx=ctx, proposed=k,
-                         accepted=it.spec_accepted.get(state.seq_id, 0))
-            elif path == "decode":
-                on_track(state, "decode", token=state.generated + 1)
-            else:
-                on_track(state, state.program.stepped.name,
-                         step=state.generated + 1, ctx=ctx)
+            parts.append(Participation(
+                state.seq_id, step.path, state.program.stepped.name, ctx,
+                n + 1, k, n))
         for state, phase, past, units in it.chunks:
-            on_track(state, phase, past=past, chunk=units)
-        for state, tokens, mode in it.preempted:
-            on_track(state, f"preempt[{mode}]", "i", tokens=tokens)
-        for state, cached in it.cache_hits:
-            on_track(state, "prefix_cache_hit", "i", cached_tokens=cached)
+            batched = state.program.batched_decode
+            # The final prefill chunk yields the first output token.
+            first = (batched and state.phase is Phase.DECODE
+                     and state.prefilled == state.prefill_target
+                     and state.generated == 0)
+            if first:
+                commit(state, 1)
+            parts.append(Participation(
+                state.seq_id, "prefill" if batched else "chunk", phase, past,
+                units, None, 0, first))
+        return parts, finished
 
 
 @dataclass
@@ -771,12 +772,20 @@ class ServeReport:
     model: str
     summary: Dict[str, Any]
     requests: List[RequestMetrics]
-    iterations: List[Dict[str, Any]]
-    trace_events: List[Dict[str, Any]]
+    #: The run's event log; the records below are folds over it.
+    log: List[Any]
     stats: ExecutionStats
     #: :class:`~repro.serve.telemetry.EngineTelemetry` when the run was
     #: telemetered, else ``None`` (serialized as ``"telemetry": null``).
     telemetry: Optional[EngineTelemetry] = None
+
+    @cached_property
+    def iterations(self) -> List[Dict[str, Any]]:
+        return iteration_records(self.log)
+
+    @cached_property
+    def trace_events(self) -> List[Dict[str, Any]]:
+        return trace_events(self.log)
 
     def chrome_trace(self) -> Dict[str, Any]:
         """Perfetto-compatible trace: engine track + one track/request.

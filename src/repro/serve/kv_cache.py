@@ -497,11 +497,6 @@ class PagedKVCache:
         """Fraction of pool blocks currently allocated (incl. padding)."""
         return self.allocator.num_used / self.allocator.num_blocks
 
-    def required_utilization(self) -> float:
-        """Utilization excluding reclaimable (cache-only) blocks."""
-        used = self.allocator.num_used - self.num_reclaimable_blocks
-        return used / self.allocator.num_blocks
-
     def fragmentation(self) -> float:
         """Internal fragmentation: fraction of *allocated* token slots
         (padding page excluded) not holding a token.  Shared blocks make

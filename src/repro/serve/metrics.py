@@ -46,15 +46,9 @@ class RequestMetrics:
     #: perturbing the summary/report byte format.
     output_tokens: List[int] = field(default_factory=list)
     #: Draft tokens proposed for / accepted by this request across all
-    #: its speculative steps (all stay 0 when speculation is off).
-    #: ``spec_checked`` counts positions the greedy-match verifier
-    #: actually examined (it stops at the first mismatch): each check is
-    #: an independent Bernoulli(draft_quality) draw, so
-    #: ``accepted / checked`` converges to the configured draft quality
-    #: while ``accepted / proposed`` sits strictly below it.
+    #: its speculative steps (both stay 0 when speculation is off).
     spec_proposed: int = 0
     spec_accepted: int = 0
-    spec_checked: int = 0
 
     @property
     def ttft(self) -> Optional[float]:

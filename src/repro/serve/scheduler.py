@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, List, NamedTuple, Optional, Tuple
 
 from .kv_cache import CacheError, PagedKVCache
 from .metrics import RequestMetrics
@@ -173,9 +173,6 @@ class Iteration:
     #: Sequences admitted from the waiting queue this step (includes
     #: recompute-preempted sequences re-entering the running set).
     admitted: List[RequestState] = field(default_factory=list)
-    #: Filled by the engine after verification: ``seq_id -> accepted``
-    #: draft count for this iteration's speculative steps.
-    spec_accepted: Dict[int, int] = field(default_factory=dict)
 
     @property
     def num_batched_tokens(self) -> int:
@@ -214,7 +211,6 @@ class ContinuousBatchingScheduler:
         self.waiting: Deque[RequestState] = deque()
         self.running: List[RequestState] = []   # PREFILL or DECODE
         self.swapped: Deque[RequestState] = deque()
-        self.num_preemptions = 0
         #: Pool blocks promised to admitted *unevictable* requests
         #: (worst-case lifetime demand).  Their KV cannot be preempted
         #: away once written, so admission must guarantee they all fit
@@ -284,7 +280,6 @@ class ContinuousBatchingScheduler:
             tokens = self.kv.length(victim.seq_id)
             rel = self.kv.release_sequence(victim.seq_id)
             victim.metrics.preemptions += 1
-            self.num_preemptions += 1
             mode = self.config.eviction
             if mode == "swap":
                 victim.phase = Phase.SWAPPED

@@ -1,16 +1,17 @@
-"""Serve-layer telemetry: deterministic metrics registry + engine sampler.
+"""Serve-layer telemetry: deterministic metrics registry + the log fold.
 
 ``EngineConfig.telemetry = TelemetryConfig(...)`` turns the serving
 engine from a black box into an instrumented system: a metrics registry
-(counters / gauges / histograms) sampled once per engine iteration,
-request-lifecycle spans (:mod:`repro.obs.spans`), a sliding-window SLO
-monitor (:mod:`repro.serve.slo`), Prometheus text exposition and
-extended Perfetto tracks (scheduler/pool counters, lifecycle spans, and
-— with ``capture_kernels`` — the VM's per-op events re-based onto the
-engine clock, provenance and all).
+(counters / gauges / histograms), request-lifecycle spans
+(:mod:`repro.obs.spans`), a sliding-window SLO monitor
+(:mod:`repro.serve.slo`), Prometheus text exposition and extended
+Perfetto tracks (scheduler/pool counters, lifecycle spans, and — with
+``capture_kernels`` — the VM's per-op events re-based onto the engine
+clock, provenance and all).  :class:`EngineTelemetry` builds all of it
+from the run's event log (:mod:`repro.serve.log`) when the run reports.
 
-**Determinism contract.**  Telemetry reads engine state; it never
-writes any: a telemetered run's report equals the plain run's once
+**Determinism contract.**  Telemetry reads the log; it never writes
+engine state: a telemetered run's report equals the plain run's once
 its telemetry sections are nulled.  Every counter, gauge, histogram,
 span and anomaly record derives from the deterministic discrete-event
 simulation, so two same-seed runs emit byte-identical telemetry JSON
@@ -27,10 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.provenance import render as render_provenance
 from ..obs.spans import SpanRecorder
-from ..obs.stats import dist, percentile
-from ..obs.trace import TraceRecorder
-from .slo import SLOConfig, SLOMonitor
+from ..obs.stats import dist
+from .log import Arrival, IterationEvent, RunStart, Teardown, untag
+from .slo import SLOMonitor
 
 Labels = Tuple[Tuple[str, str], ...]
 
@@ -54,16 +56,21 @@ def _render(name: str, labels: Labels) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """Monotonic event count (``_total`` by Prometheus convention)."""
-
-    kind = "counter"
+class _Metric:
+    kind = ""
+    value: Optional[float] = None
 
     def __init__(self, name: str, help: str = "", labels: Labels = ()):
         self.name = name
         self.help = help
         self.labels = labels
-        self.value = 0.0
+
+
+class Counter(_Metric):
+    """Monotonic event count (``_total`` by Prometheus convention)."""
+
+    kind = "counter"
+    value = 0.0
 
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
@@ -71,22 +78,16 @@ class Counter:
         self.value += n
 
 
-class Gauge:
+class Gauge(_Metric):
     """Last-written instantaneous value."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", labels: Labels = ()):
-        self.name = name
-        self.help = help
-        self.labels = labels
-        self.value: Optional[float] = None
 
     def set(self, v: float) -> None:
         self.value = v
 
 
-class Histogram:
+class Histogram(_Metric):
     """Exact distribution with an optional sliding window on the
     analytical clock.
 
@@ -100,9 +101,7 @@ class Histogram:
 
     def __init__(self, name: str, help: str = "", labels: Labels = (),
                  window_s: Optional[float] = None):
-        self.name = name
-        self.help = help
-        self.labels = labels
+        super().__init__(name, help, labels)
         self.window_s = window_s
         self.count = 0
         self.sum = 0.0
@@ -121,11 +120,8 @@ class Histogram:
             if drop:
                 del self._obs[:drop]
 
-    def window_values(self) -> List[float]:
-        return [v for _, v in self._obs]
-
     def snapshot(self) -> Dict[str, Any]:
-        values = self.window_values()
+        values = [v for _, v in self._obs]
         out: Dict[str, Any] = {
             "count": self.count,
             "sum": self.sum,
@@ -238,11 +234,12 @@ def _fmt(v: float) -> str:
 class TelemetryConfig:
     """Turns on serve-layer telemetry (``EngineConfig.telemetry``).
 
-    The default object enables the registry, spans and the SLO monitor;
-    ``capture_kernels`` additionally attaches a
-    :class:`~repro.obs.trace.TraceRecorder` to every engine VM and
-    merges the per-op kernel events into the exported Perfetto file on
-    the engine clock (more memory, same simulated results).
+    The default object makes the report carry the telemetry fold of the
+    run's log (registry, spans, SLO monitor); ``capture_kernels``
+    additionally attaches a :class:`~repro.obs.trace.TraceRecorder` to
+    every engine VM, whose per-op events the fold re-bases onto the
+    engine clock in the Perfetto export (more memory, same simulated
+    results).
     """
 
     #: Sliding window (simulated seconds) for latency histograms;
@@ -252,336 +249,258 @@ class TelemetryConfig:
     capture_kernels: bool = False
 
 
+
+
 #: Perfetto process ids of the serve export: 0 = engine iterations and
-#: counter tracks (pre-existing), 1 = request tracks (pre-existing
-#: slices + lifecycle spans), 2 = VM kernel events per model family.
+#: counter tracks, 1 = request tracks (slices + lifecycle spans), 2 = VM
+#: kernel events per model family.
 PID_ENGINE = 0
 PID_REQUESTS = 1
 PID_KERNELS = 2
 
+_CHUNKED = ("prefill", "chunk")
+
 
 class EngineTelemetry:
-    """Engine-side sampler: one :meth:`on_iteration` call per scheduled
-    step folds the whole serve stack into the registry/spans/SLO state.
+    """Registry, lifecycle spans, SLO monitor and Perfetto tracks: a fold
+    over a run's event log (:mod:`repro.serve.log`).
 
-    Pure observer — it must never influence scheduling, token identity
-    or the clock (``test_telemetry_defaults_off_and_changes_nothing``
-    compares a telemetered report with the plain one).
+    It reads nothing but the log, so folding a plain run's log gives
+    exactly what the telemetered run reports.  Over a fleet log the
+    per-replica metrics carry a ``replica`` label, spans and the SLO
+    monitor see the merged stream, and the Perfetto tracks are left to
+    each replica's own export.
     """
 
-    def __init__(self, config: TelemetryConfig, *, slo_ttft_s: float,
-                 slo_tpot_s: float, vm_names: Sequence[str],
-                 max_num_seqs: int, max_num_batched_tokens: int):
-        self.config = config
+    def __init__(self, log: Sequence[Any], window_s: Optional[float] = None):
+        self.window_s = window_s
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder()
-        self.slo = SLOMonitor(SLOConfig(), slo_ttft_s=slo_ttft_s,
-                              slo_tpot_s=slo_tpot_s)
-        self.vm_names = list(vm_names)
-        self._max_seqs = max_num_seqs
-        self._max_tokens = max_num_batched_tokens
+        self.slo: Optional[SLOMonitor] = None
+        self.start: Optional[RunStart] = None
         #: Extra Perfetto events (counter samples + kernel slices).
         self.counter_events: List[Dict[str, Any]] = []
         self.kernel_events: List[Dict[str, Any]] = []
-        self.refcount_audit: Optional[Dict[str, Any]] = None
-        self._saved_tracers: List[Any] = []
-        self._prev_cache: Dict[str, float] = {}
-        self._prev_alloc: Dict[str, int] = {}
-        self._prev_cow = 0
-        self._attached = False
+        self._arrivals: Dict[int, Arrival] = {}
+        #: replica -> cumulative [lookups, hits] (the hit-rate gauge).
+        self._cache: Dict[Optional[int], List[int]] = {}
+        audits: Dict[Optional[int], Dict[str, Any]] = {}
+        end = None
+        index = 0
+        for replica, e in untag(log):
+            kind = type(e)
+            if kind is IterationEvent:
+                self._iteration(e, index, replica)
+                index += 1
+            elif kind is Arrival:
+                self._arrivals[e.req_id] = e
+            elif kind is RunStart and self.start is None:
+                self.start = e
+                self.slo = SLOMonitor(slo_ttft_s=e.slo_ttft_s,
+                                      slo_tpot_s=e.slo_tpot_s)
+            elif kind is Teardown:
+                audits[replica] = e.refcount_audit
+                end = e.t
+        if end is not None:
+            # Once the last run has ended (a fleet's replicas end at
+            # different times), whatever is still open is unfinished.
+            self.spans.finalize(end)
+        #: The engine's teardown audit of the KV pool (replica -> audit
+        #: over a fleet log).
+        self.refcount_audit = (audits[None] if None in audits
+                               else audits or None)
+        reg, slo = self.registry, self.slo
+        for name, help, att in (
+                ("slo_window_ttft_attainment",
+                 "TTFT attainment over the recent window",
+                 slo.window_ttft_attainment),
+                ("slo_window_tpot_attainment",
+                 "TPOT attainment over the recent window",
+                 slo.window_tpot_attainment)):
+            if att is not None:
+                reg.gauge(name, help).set(att)
+        reg.gauge("slo_anomalies", "anomaly records").set(len(slo.anomalies))
 
-    # -- VM kernel capture -------------------------------------------------------
-
-    def attach(self, vms: Sequence[Any]) -> None:
-        if not self.config.capture_kernels:
-            return
-        for vm in vms:
-            self._saved_tracers.append(vm.tracer)
-            vm.tracer = TraceRecorder()
-        self._attached = True
-
-    def detach(self, vms: Sequence[Any]) -> None:
-        if not self._attached:
-            return
-        for vm, saved in zip(vms, self._saved_tracers):
-            vm.tracer = saved
-        self._saved_tracers.clear()
-        self._attached = False
-
-    # -- per-iteration sampling --------------------------------------------------
-
-    def on_iteration(self, *, it, sched, kv, cache, index: int,
-                     t_begin: float, t_end: float, swap_s: float,
-                     delta, before, vms: Sequence[Any]) -> None:
-        from .scheduler import Phase  # local: avoid cycle at import time
-
-        reg = self.registry
+    def _iteration(self, e: IterationEvent, index: int,
+                   replica: Optional[int]) -> None:
+        reg, spans, start = self.registry, self.spans, self.start
+        lab = {} if replica is None else {"replica": replica}
+        t0, t1, g, c = e.t_begin, e.t_end, e.gauges, e.counters
         us = 1e6
-        window = self.config.window_s
+        steps = [p for p in e.participations if p.path not in _CHUNKED]
+        chunks = [p for p in e.participations if p.path in _CHUNKED]
+        spec = [p for p in steps if p.path == "spec"]
+        proposed = sum(p.spec_k for p in spec)
+        accepted = sum(p.accepted for p in spec)
+
+        def count(name: str, help: str, n: float = 1, **labels: Any) -> None:
+            reg.counter(name, help, **labels, **lab).inc(n)
+
+        def observe(name: str, help: str, value: float) -> None:
+            reg.histogram(name, help, window_s=self.window_s,
+                          **lab).observe(value, t1)
+
+        def track(name: str, args: Dict[str, Any]) -> None:
+            if replica is None:  # a fleet exports each replica's tracks
+                self.counter_events.append({"name": name, "ph": "C",
+                                            "pid": PID_ENGINE, "tid": 0,
+                                            "ts": t1 * us, "args": args})
 
         # ---- counters: work committed and resources moved this step
-        reg.counter("iterations_total", "scheduled engine iterations").inc()
-        paths = [s.path for s in it.steps]
-        spec_steps = paths.count("spec")
-        proposed = sum(s.spec_k or 0 for s in it.steps)
-        accepted = sum(it.spec_accepted.values())
-        prefill = [c for c in it.chunks if c.state.program.batched_decode]
-        units = {
-            "decode": paths.count("decode"),
-            "spec": accepted + spec_steps,
-            "step": paths.count("step"),
-            "prefill_first": sum(
-                1 for state, _, past, units in prefill
-                if past + units == state.prefill_target
-                and state.generated == 1
-                and state.metrics.token_times
-                and state.metrics.token_times[-1] == t_end
-            ),
-        }
-        committed = sum(units.values())
+        count("iterations_total", "scheduled engine iterations")
+        units = {"decode": 0, "spec": 0, "step": 0,
+                 "prefill_first": sum(p.first for p in chunks)}
+        for p in steps:
+            units[p.path] += p.units
         for path, n in units.items():
             if n or path == "decode":
-                reg.counter("tokens_total", "output units committed",
-                            path=path).inc(n)
-        reg.counter("prefill_tokens_total", "prompt tokens prefilled").inc(
-            sum(c.units for c in prefill))
-        for _, _, mode in it.preempted:
-            reg.counter("preemptions_total", "sequences evicted",
-                        mode=mode).inc()
-        if it.swapped_in:
-            reg.counter("swapins_total", "sequences restored from host").inc(
-                len(it.swapped_in))
-        reg.counter("swap_seconds_total", "host-link swap time").inc(swap_s)
-        reg.counter("vm_seconds_total", "simulated device time").inc(
-            delta.time_s)
-        reg.counter("kernel_launches_total", "VM kernel launches").inc(
-            delta.kernel_launches)
-        if spec_steps:
-            reg.counter("spec_proposed_total", "draft tokens proposed").inc(
-                proposed)
-            reg.counter("spec_accepted_total", "draft tokens accepted").inc(
-                accepted)
-            reg.counter("spec_rollback_tokens_total",
-                        "rejected draft KV rolled back").inc(
-                proposed - accepted)
-        if it.cache_hits:
-            reg.counter("prefix_cache_hits_total",
-                        "admissions served from cache").inc(
-                len(it.cache_hits))
-            reg.counter("prefix_cache_tokens_total",
-                        "prompt tokens served from cache").inc(
-                sum(n for _, n in it.cache_hits))
-
-        # ---- pool/refcount traffic (deltas of cumulative sources)
-        alloc = kv.allocator
-        traffic = {
-            "allocated": alloc.allocated_total,
-            "freed": alloc.freed_total,
-            "ref_drops": alloc.ref_drops_total,
-            "shares": alloc.shares_total,
-        }
-        for key, total in traffic.items():
-            prev = self._prev_alloc.get(key, 0)
-            if total > prev:
-                reg.counter("kv_block_ops_total",
-                            "allocator reference traffic", op=key).inc(
-                    total - prev)
-            self._prev_alloc[key] = total
-        if kv.cow_copies > self._prev_cow:
-            reg.counter("kv_cow_copies_total", "copy-on-write forks").inc(
-                kv.cow_copies - self._prev_cow)
-        self._prev_cow = kv.cow_copies
-        if cache is not None:
-            stats = cache.stats
-            for key in ("lookups", "hits", "evictions", "inserts"):
-                total = getattr(stats, key)
-                prev = self._prev_cache.get(key, 0)
-                if total > prev:
-                    reg.counter("prefix_cache_ops_total",
-                                "prefix-cache operations", op=key).inc(
-                        total - prev)
-                self._prev_cache[key] = total
+                count("tokens_total", "output units committed", n, path=path)
+        count("prefill_tokens_total", "prompt tokens prefilled",
+              sum(p.units for p in chunks if p.path == "prefill"))
+        for _, _, mode in e.preempted:
+            count("preemptions_total", "sequences evicted", mode=mode)
+        if e.swapped_in:
+            count("swapins_total", "sequences restored from host",
+                  len(e.swapped_in))
+        stats = e.stats
+        count("swap_seconds_total", "host-link swap time", e.swap_s)
+        count("vm_seconds_total", "simulated device time", stats.time_s)
+        count("kernel_launches_total", "VM kernel launches",
+              stats.kernel_launches)
+        if spec:
+            count("spec_proposed_total", "draft tokens proposed", proposed)
+            count("spec_accepted_total", "draft tokens accepted", accepted)
+            count("spec_rollback_tokens_total",
+                  "rejected draft KV rolled back", proposed - accepted)
+        if e.cache_hits:
+            count("prefix_cache_hits_total", "admissions served from cache",
+                  len(e.cache_hits))
+            count("prefix_cache_tokens_total",
+                  "prompt tokens served from cache",
+                  sum(n for _, n in e.cache_hits))
+        for name, help, ops in (
+                ("kv_block_ops_total", "allocator reference traffic",
+                 ("allocated", "freed", "ref_drops", "shares")),
+                ("prefix_cache_ops_total", "prefix-cache operations",
+                 ("lookups", "hits", "evictions", "inserts"))):
+            for op in ops:
+                if getattr(c, op):
+                    count(name, help, getattr(c, op), op=op)
+        if c.cow_copies:
+            count("kv_cow_copies_total", "copy-on-write forks", c.cow_copies)
 
         # ---- gauges: instantaneous engine state at t_end
-        waiting = len(sched.waiting)
-        swapped = len(sched.swapped)
-        running = len(sched.running)
-        occupancy = running / self._max_seqs if self._max_seqs else 0.0
-        budget_util = (
-            it.num_batched_tokens / self._max_tokens
-            if self._max_tokens else 0.0
-        )
-        reg.gauge("queue_depth", "waiting + swapped requests").set(
-            sched.queue_depth)
-        reg.gauge("waiting_requests", "requests awaiting admission").set(
-            waiting)
-        reg.gauge("swapped_requests", "requests swapped to host").set(swapped)
-        reg.gauge("running_requests", "requests in the running set").set(
-            running)
-        reg.gauge("batch_occupancy", "running / max_num_seqs").set(occupancy)
-        reg.gauge("token_budget_utilization",
-                  "batched tokens / max_num_batched_tokens").set(budget_util)
-        reg.gauge("kv_free_blocks", "free pool blocks").set(
-            kv.num_free_blocks)
-        reg.gauge("kv_reclaimable_blocks", "cache-only blocks").set(
-            kv.num_reclaimable_blocks)
-        reg.gauge("kv_required_utilization",
-                  "pool pressure net of reclaimable blocks").set(
-            kv.required_utilization())
-        reg.gauge("kv_fragmentation",
-                  "unused slots in allocated pages").set(kv.fragmentation())
-        reg.gauge("unevictable_blocks",
-                  "blocks reserved for unevictable programs").set(
-            sched.unevictable_blocks)
-        if cache is not None:
-            reg.gauge("prefix_cache_hit_rate", "cumulative hit rate").set(
-                cache.stats.hit_rate)
+        queue = g.waiting + g.swapped
+        occupancy = (g.running / start.max_num_seqs
+                     if start.max_num_seqs else 0.0)
+        budget = (e.batched_tokens / start.max_num_batched_tokens
+                  if start.max_num_batched_tokens else 0.0)
+        required = g.used - g.reclaimable
+        cache = self._cache.setdefault(replica, [0, 0])
+        cache[0] += c.lookups
+        cache[1] += c.hits
+        hit_rate = cache[1] / cache[0] if cache[0] else 0.0
+        gauges = [
+            ("queue_depth", "waiting + swapped requests", queue),
+            ("waiting_requests", "requests awaiting admission", g.waiting),
+            ("swapped_requests", "requests swapped to host", g.swapped),
+            ("running_requests", "requests in the running set", g.running),
+            ("batch_occupancy", "running / max_num_seqs", occupancy),
+            ("token_budget_utilization",
+             "batched tokens / max_num_batched_tokens", budget),
+            ("kv_free_blocks", "free pool blocks", g.free),
+            ("kv_reclaimable_blocks", "cache-only blocks", g.reclaimable),
+            ("kv_required_utilization",
+             "pool pressure net of reclaimable blocks",
+             required / start.num_blocks),
+            ("kv_fragmentation", "unused slots in allocated pages",
+             g.fragmentation),
+            ("unevictable_blocks",
+             "blocks reserved for unevictable programs", g.unevictable),
+        ]
+        if start.prefix_cache:
+            gauges.append(("prefix_cache_hit_rate", "cumulative hit rate",
+                           hit_rate))
+        for name, help, value in gauges:
+            reg.gauge(name, help, **lab).set(value)
 
         # ---- histograms (sliding window on the analytical clock)
-        reg.histogram("iteration_seconds", "engine iteration duration",
-                      window_s=window).observe(t_end - t_begin, t_end)
-        reg.histogram("iteration_batched_tokens",
-                      "token budget consumed per iteration",
-                      window_s=window).observe(it.num_batched_tokens, t_end)
-        if units["decode"] or spec_steps:
-            reg.histogram("decode_batch_size",
-                          "sequences per batched decode/verify call",
-                          window_s=window).observe(
-                units["decode"] + spec_steps, t_end)
+        observe("iteration_seconds", "engine iteration duration", t1 - t0)
+        observe("iteration_batched_tokens",
+                "token budget consumed per iteration", e.batched_tokens)
+        if units["decode"] or spec:
+            observe("decode_batch_size",
+                    "sequences per batched decode/verify call",
+                    units["decode"] + len(spec))
 
-        # ---- Perfetto counter tracks (one sample per iteration)
-        def counter(name: str, args: Dict[str, Any]) -> None:
-            self.counter_events.append({
-                "name": name, "ph": "C", "pid": PID_ENGINE, "tid": 0,
-                "ts": t_end * us, "args": args,
-            })
-
-        counter("sched_queue", {"waiting": waiting, "swapped": swapped})
-        counter("batch_occupancy", {"running": running})
-        counter("token_budget_util", {"used": budget_util})
-        counter("kv_pressure", {
-            "required": kv.allocator.num_used - kv.num_reclaimable_blocks,
-            "reclaimable": kv.num_reclaimable_blocks,
-        })
-        counter("kv_fragmentation", {"frac": kv.fragmentation()})
-        if cache is not None:
-            counter("prefix_cache_hit_rate",
-                    {"rate": cache.stats.hit_rate})
-        if spec_steps:
-            counter("spec_tokens",
-                    {"proposed": proposed, "accepted": accepted})
-
-        # ---- per-shard mesh tracks (tensor parallelism): one counter
-        # track per rank, sampled from the live lockstep stats.  The
-        # kv_pressure sample is per-shard bytes resident in that rank's
-        # pool — identical across ranks under SPMD, which is exactly the
-        # invariant the track makes visible.
-        for vm_name, vm in zip(self.vm_names, vms):
-            shards = getattr(vm, "shard_stats", None)
-            if not shards or len(shards) < 2:
-                continue
-            for rank, s in enumerate(shards):
-                counter(f"{vm_name}_shard{rank}_comm", {
-                    "comm_time_s": s.comm_time_s,
-                    "comm_fraction": (
-                        s.comm_time_s / s.time_s if s.time_s else 0.0
-                    ),
+        # ---- Perfetto counter tracks (one sample per iteration); under
+        # tensor parallelism one comm and one resident-bytes track per
+        # rank — identical across ranks under SPMD, which is exactly the
+        # invariant the tracks make visible.
+        track("sched_queue", {"waiting": g.waiting, "swapped": g.swapped})
+        track("batch_occupancy", {"running": g.running})
+        track("token_budget_util", {"used": budget})
+        track("kv_pressure", {"required": required,
+                              "reclaimable": g.reclaimable})
+        track("kv_fragmentation", {"frac": g.fragmentation})
+        if start.prefix_cache:
+            track("prefix_cache_hit_rate", {"rate": hit_rate})
+        if spec:
+            track("spec_tokens", {"proposed": proposed, "accepted": accepted})
+        for vm, ranks in e.shards:
+            for rank, (comm, time_s, resident) in enumerate(ranks):
+                name = f"{start.vm_names[vm]}_shard{rank}"
+                track(f"{name}_comm", {
+                    "comm_time_s": comm,
+                    "comm_fraction": comm / time_s if time_s else 0.0,
                 })
-                counter(f"{vm_name}_shard{rank}_kv_pressure", {
-                    "resident_bytes": s.current_bytes,
+                track(f"{name}_kv_pressure", {"resident_bytes": resident})
+
+        # ---- lifecycle spans, then completions (SLO window + span close)
+        for sid in e.admitted:
+            a = self._arrivals[sid]
+            spans.admitted(sid, a.t, t0, kind=a.kind,
+                           prompt_len=a.prompt_len, output_len=a.output_len)
+        for sid, copied in e.swapped_in:
+            spans.resumed(sid, t0, copied_tokens=copied)
+        for p in chunks + steps:
+            spans.activity(p.seq_id,
+                           "spec_decode" if p.path == "spec" else p.phase,
+                           t0, t1)
+        for sid, _, mode in e.preempted:
+            spans.preempted(sid, t0, mode)
+        for f in e.finished:
+            spans.finished(f.seq_id, t1, output_tokens=f.tokens,
+                           preemptions=f.preemptions)
+            self.slo.on_finish(f.seq_id, f.ttft, f.tpot, t1, index)
+            for name, help, value in (
+                    ("ttft_seconds", "time to first token", f.ttft),
+                    ("tpot_seconds", "time per output token", f.tpot),
+                    ("e2e_seconds", "request latency", f.e2e_s)):
+                if value is not None:
+                    observe(name, help, value)
+            count("requests_finished_total", "completed requests",
+                  kind=self._arrivals[f.seq_id].kind)
+        self.slo.on_iteration(index, t1, committed=sum(units.values()),
+                              preemptions=len(e.preempted),
+                              queue_depth=queue)
+
+        # ---- VM kernel events, re-based onto the engine clock
+        for vm, (base, events) in enumerate(
+                e.kernels if replica is None else ()):
+            for k in events:
+                if k.kind in ("alloc", "free"):
+                    continue
+                args = {key: v for key, v in k.args.items()
+                        if isinstance(v, (int, float, str, bool))}
+                if k.prov:
+                    args["provenance"] = render_provenance(k.prov)
+                self.kernel_events.append({
+                    "name": k.name, "cat": k.kind, "ph": "X",
+                    "pid": PID_KERNELS, "tid": vm,
+                    "ts": (t0 + (k.ts_s - base)) * us,
+                    "dur": k.dur_s * us, "args": args,
                 })
-
-        # ---- lifecycle spans
-        spans = self.spans
-        for state in it.admitted:
-            spans.admitted(
-                state.seq_id, state.request.arrival_s, t_begin,
-                kind=state.request.kind,
-                prompt_len=state.request.prompt_len,
-                output_len=state.request.output_len,
-            )
-        for state, copied in it.swapped_in:
-            spans.resumed(state.seq_id, t_begin, copied_tokens=copied)
-        for state, phase_name, _, _ in it.chunks:
-            spans.activity(state.seq_id, phase_name, t_begin, t_end)
-        for path, step in zip(paths, it.steps):
-            name = ("spec_decode" if path == "spec"
-                    else step.state.program.stepped.name)
-            spans.activity(step.state.seq_id, name, t_begin, t_end)
-        for state, tokens, mode in it.preempted:
-            spans.preempted(state.seq_id, t_begin, mode,
-                            swapped_tokens=tokens)
-
-        # ---- completions: SLO window + span close (a request is planned
-        # at most once per iteration, so no participant repeats)
-        for state in ([s.state for s in it.steps]
-                      + [c.state for c in it.chunks]):
-            m = state.metrics
-            if state.phase is not Phase.FINISHED or m.finish_s != t_end:
-                continue
-            spans.finished(state.seq_id, t_end,
-                           output_tokens=len(m.token_times),
-                           preemptions=m.preemptions)
-            self.slo.on_finish(m, t_end, index)
-            if m.ttft is not None:
-                reg.histogram("ttft_seconds", "time to first token",
-                              window_s=window).observe(m.ttft, t_end)
-            if m.tpot is not None:
-                reg.histogram("tpot_seconds", "time per output token",
-                              window_s=window).observe(m.tpot, t_end)
-            if m.e2e_latency is not None:
-                reg.histogram("e2e_seconds", "request latency",
-                              window_s=window).observe(m.e2e_latency, t_end)
-            reg.counter("requests_finished_total", "completed requests",
-                        kind=m.kind).inc()
-        self.slo.on_iteration(index, t_end, committed=committed,
-                              preemptions=len(it.preempted),
-                              queue_depth=sched.queue_depth)
-
-        # ---- VM kernel merge onto the engine clock
-        if self._attached:
-            for i, vm in enumerate(vms):
-                tracer = vm.tracer
-                base = before[i].time_s
-                for e in tracer.events:
-                    if e.kind in ("alloc", "free"):
-                        continue
-                    args = {k: v for k, v in e.args.items()
-                            if isinstance(v, (int, float, str, bool))}
-                    if e.prov:
-                        from ..obs.provenance import render as _prov
-                        args["provenance"] = _prov(e.prov)
-                    self.kernel_events.append({
-                        "name": e.name,
-                        "cat": e.kind,
-                        "ph": "X",
-                        "pid": PID_KERNELS,
-                        "tid": i,
-                        "ts": (t_begin + (e.ts_s - base)) * us,
-                        "dur": e.dur_s * us,
-                        "args": args,
-                    })
-                tracer.clear()
-
-    # -- teardown ---------------------------------------------------------------
-
-    def finalize(self, *, clock: float,
-                 refcount_audit: Dict[str, Any]) -> None:
-        """Close the run at ``clock``; ``refcount_audit`` is the engine's
-        teardown audit of the KV pool (exported unchanged)."""
-        self.spans.finalize(clock)
-        self.refcount_audit = refcount_audit
-        reg = self.registry
-        att = self.slo.window_ttft_attainment
-        if att is not None:
-            reg.gauge("slo_window_ttft_attainment",
-                      "TTFT attainment over the recent window").set(att)
-        att = self.slo.window_tpot_attainment
-        if att is not None:
-            reg.gauge("slo_window_tpot_attainment",
-                      "TPOT attainment over the recent window").set(att)
-        reg.gauge("slo_anomalies", "anomaly records").set(
-            len(self.slo.anomalies))
 
     # -- export ------------------------------------------------------------------
 
@@ -595,7 +514,7 @@ class EngineTelemetry:
                 "name": "process_name", "ph": "M", "pid": PID_KERNELS,
                 "tid": 0, "args": {"name": "vm kernels"},
             })
-            for i, vm_name in enumerate(self.vm_names):
+            for i, vm_name in enumerate(self.start.vm_names):
                 meta.append({
                     "name": "thread_name", "ph": "M", "pid": PID_KERNELS,
                     "tid": i, "args": {"name": f"vm[{vm_name}]"},
@@ -610,8 +529,8 @@ class EngineTelemetry:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "config": {
-                "window_s": self.config.window_s,
-                "capture_kernels": self.config.capture_kernels,
+                "window_s": self.window_s,
+                "capture_kernels": self.start.capture_kernels,
                 "prefix": self.registry.prefix,
             },
             "metrics": self.registry.to_dict(),

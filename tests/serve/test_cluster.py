@@ -14,6 +14,7 @@ from repro.serve import (
     EngineConfig,
     Request,
     SchedulerConfig,
+    TelemetryConfig,
     WorkloadConfig,
     generate,
     make_policy,
@@ -240,6 +241,41 @@ def test_cluster_run_starts_fresh_after_a_failed_run():
         assert {m.req_id for m in rep.requests} <= {r.req_id for r in ok}
 
 
+def test_fleet_reports_are_folds_over_the_merged_log():
+    econf = _engine_config()
+    econf.telemetry = TelemetryConfig()
+    # A burst: one replica still has requests in flight when the other
+    # drains and tears down.
+    report = serve_cluster(
+        TINY_LLAMA, TEST_DEVICE, generate(_workload(rate=2e4)),
+        ClusterConfig(dp=2, policy="prefix_affinity", engine=econf))
+    reps = report.replica_reports
+    s = report.summary
+    # Routing counts and fleet cache sums fold the same log the replica
+    # reports summarise.
+    assert s["routing"]["assignments"] == [
+        r.summary["num_requests"] for r in reps]
+    for key in ("lookups", "hits", "requested_tokens", "matched_tokens"):
+        assert s["prefix_cache"][key] == sum(
+            r.summary["prefix_cache"][key] for r in reps)
+    # Fleet telemetry is the engine fold over the fleet log: per-replica
+    # series under a replica label, one SLO monitor over the merged stream.
+    counters = report.telemetry.registry.to_dict()["counters"]
+    for i, rep in enumerate(reps):
+        assert counters[f'iterations_total{{replica="{i}"}}'] == len(
+            rep.iterations)
+    assert sum(v for k, v in counters.items()
+               if k.startswith("requests_finished_total")) == (
+        s["num_finished"])
+    assert report.telemetry.slo.finished == s["fleet_slo"]["finished"]
+    # Every replica's spans, none closed early by another's teardown.
+    def spans(tel):
+        return sorted(json.dumps(d, sort_keys=True)
+                      for d in tel.spans.to_dicts())
+    assert spans(report.telemetry) == sorted(
+        d for r in reps for d in spans(r.telemetry))
+
+
 class TestClusterCLIValidation:
     def test_rejects_nonpositive_dp(self):
         with pytest.raises(SystemExit, match="--dp must be >= 1"):
@@ -249,11 +285,18 @@ class TestClusterCLIValidation:
         with pytest.raises(SystemExit, match="not a routing policy"):
             cli_main(["--route", "hashring"])
 
-    def test_rejects_telemetry_with_dp(self):
-        with pytest.raises(SystemExit, match="--telemetry"):
-            cli_main(["--dp", "2", "--telemetry", "t.json"])
-        with pytest.raises(SystemExit, match="--prometheus"):
-            cli_main(["--dp", "2", "--prometheus", "m.prom"])
+    def test_accepts_telemetry_with_dp(self, tmp_path, capsys):
+        tel, prom = tmp_path / "t.json", tmp_path / "m.prom"
+        assert cli_main(["--dp", "2", "--requests", "8", "--rate", "2000",
+                         "--telemetry", str(tel),
+                         "--prometheus", str(prom)]) == 0
+        doc = json.loads(tel.read_text())
+        assert set(doc["refcount_audit"]) == {"0", "1"}
+        samples = [line for line in prom.read_text().splitlines()
+                   if not line.startswith("#")]
+        assert any('replica="1"' in line for line in samples)
+        for line in samples:
+            float(line.rsplit(" ", 1)[1])
 
     def test_route_aliases_accept_short_and_full_names(self):
         from repro.serve.cli import ROUTE_ALIASES, build_parser

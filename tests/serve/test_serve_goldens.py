@@ -4,13 +4,18 @@ The scenarios cover vanilla LLM runs (plain, pool pressure, prefix
 sharing, on two device models), speculative fixed and adaptive with and
 without pool pressure, swap and recompute preemption with prefix-cache
 evictions, telemetry with kernel capture, tp=2, dp=2 under every router,
-mixed LLM + Whisper + denoise, and the CLI — and say *what* moved: each
-``summary`` and request-row list is JSON text compared structurally with
-exact float equality (a failure names the first differing key path);
-large lists (iterations, trace events, spans) are a sha256 plus an
-element count.  Mixed-kind runs compare their span and trace-event lists
-as sorted multisets: stepped work of different request kinds in one
-iteration is recorded in scheduling order (DESIGN.md §18).
+mixed LLM + Whisper + denoise, and the CLI (dp=2 with fleet telemetry
+included) — and say *what* moved: each ``summary`` and request-row list
+is JSON text compared structurally with exact float equality (a failure
+names the first differing key path); large lists (event logs,
+iterations, trace events, spans) are a sha256 plus an element count.
+Every engine and cluster scenario pins its event log
+(:mod:`repro.serve.log`), whose folds the other artifacts are, and
+``test_logged_counter_deltas_sum_to_their_sources`` checks the logged
+allocator / COW / prefix-cache deltas against the counters themselves.
+Mixed-kind runs compare their span and trace-event lists as sorted
+multisets: stepped work of different request kinds in one iteration is
+recorded in scheduling order (DESIGN.md §18).
 
 The reports are schema 2 (DESIGN.md §9): ``test_one_key_set_per_record_kind``
 checks that every engine summary, fleet summary, iteration record and
@@ -59,6 +64,7 @@ from repro.serve import (
     serve_cluster,
 )
 from repro.serve.cli import main as cli_main
+from repro.serve.log import to_dicts, total_counters
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -93,6 +99,7 @@ def _engine_artifacts(report, mixed=False):
     out = {
         "summary": ("json", report.summary),
         "requests": ("json", report.to_dict()["requests"]),
+        "log": ("list", to_dicts(report.log), False),
         "iterations": ("list", report.iterations, False),
         "token_streams": ("list", [
             [r.req_id, list(r.output_tokens), list(r.token_times)]
@@ -114,6 +121,7 @@ def _cluster_artifacts(report):
     return {
         "summary": ("json", report.summary),
         "assignments": ("json", [list(a) for a in report.assignments]),
+        "log": ("list", to_dicts(report.log), False),
         "replica_summaries": (
             "json", [rep.summary for rep in report.replica_reports]),
         "replicas": (
@@ -344,13 +352,32 @@ SCENARIOS = {
     "cli_dp2_mixed": lambda: _cli(
         ["--dp", "2", "--route", "lb", "--whisper-frac", "0.3",
          "--denoise-frac", "0.2", "--kv-blocks", "24"], mixed=True),
+    "cli_dp2_telemetry": lambda: _cli(
+        ["--dp", "2", "--route", "affinity", "--telemetry", "tel.json",
+         "--prometheus", "m.prom"] + _CLI_PREFIX),
 }
 
 
 @functools.lru_cache(maxsize=None)
+def _run(name):
+    """Each scenario runs once per pytest process (runs are deterministic):
+    its artifacts and every ``ServeReport`` it produced."""
+    reports = []
+    report = ServingEngine.report
+
+    def keep(self):
+        reports.append(report(self))
+        return reports[-1]
+
+    ServingEngine.report = keep
+    try:
+        return SCENARIOS[name](), reports
+    finally:
+        ServingEngine.report = report
+
+
 def _artifacts(name):
-    """Each scenario runs once per pytest process (runs are deterministic)."""
-    return SCENARIOS[name]()
+    return _run(name)[0]
 
 
 # -- storage and comparison ------------------------------------------------------
@@ -428,6 +455,35 @@ def test_scenarios_exercise_what_they_claim():
     assert summary("tp2_spec_telemetry")["comm_fraction"] > 0
     assert set(summary("mixed_swap")["per_type"]) == {
         "llm", "whisper", "denoise"}
+
+
+def test_logged_counter_deltas_sum_to_their_sources():
+    """Each iteration event logs allocator, COW and prefix-cache counter
+    *deltas*; over a run they add up to the cumulative counters the
+    engine reads off the pool and the cache at ``report()``."""
+    caches = ("lookups", "hits", "requested_tokens", "matched_tokens",
+              "inserts", "evictions")
+    for name in SCENARIOS:
+        reports = _run(name)[1]
+        assert reports, name
+        for rep in reports:
+            total = total_counters(rep.log)
+            audit = rep.summary["kv_pool"]["refcount_audit"]
+            assert (total.allocated, total.freed, total.ref_drops,
+                    total.shares, total.cow_copies) == (
+                audit["allocated_total"], audit["freed_total"],
+                audit["ref_drops_total"], audit["shares_total"],
+                audit["cow_copies"]), name
+            cache = rep.summary["prefix_cache"] or dict.fromkeys(caches, 0)
+            assert [getattr(total, k) for k in caches] == [
+                cache[k] for k in caches], name
+
+
+def test_same_seed_runs_log_the_same_events():
+    for name in ("preempt_swap", "dp2_prefix_affinity"):
+        first, second = (_stored(SCENARIOS[name]())[0]["log"]
+                         for _ in range(2))
+        assert first == second == _stored(_artifacts(name))[0]["log"], name
 
 
 # -- schema 2 --------------------------------------------------------------------

@@ -6,12 +6,15 @@ Four invariant families:
    core-summary value, request metric, iteration record or pre-existing
    trace event: nulling the telemetry sections of a telemetered report
    yields the plain report.
-2. **Telemetry-on determinism** — two fresh same-seed telemetered runs
+2. **Telemetry is a fold** — two fresh same-seed telemetered runs
    produce byte-identical telemetry JSON and Prometheus text (sliding
-   windows slide on the analytical clock; nothing reads wall time).
+   windows slide on the analytical clock; nothing reads wall time), and
+   folding a *plain* run's event log gives exactly the telemetered
+   run's telemetry.
 3. **Component behaviour** — the metrics registry (labels, histogram
    windows, exposition format), the SLO monitor (stall / storm /
-   violation anomalies) and the span recorder (lifecycle nesting).
+   violation anomalies) and the span recorder (lifecycle nesting),
+   folded from small hand-built logs.
 4. **Perfetto schema** — telemetered serve timelines (request lifecycle
    spans + counter tracks + merged VM kernel events) pass the chrome
    trace validator, and lifecycle spans nest inside their request's
@@ -24,24 +27,34 @@ import pytest
 
 from repro.models import TINY_DENOISE, TINY_LLAMA, TINY_WHISPER
 from repro.obs import validate_chrome_trace
-from repro.obs.spans import SpanRecorder
 from repro.runtime import TEST_DEVICE
 from repro.runtime.device import ALL_DEVICES
 from repro.serve import (
     EngineConfig,
+    EngineTelemetry,
     MetricsRegistry,
     SchedulerConfig,
     ServingEngine,
-    SLOConfig,
-    SLOMonitor,
     SpecConfig,
     TelemetryConfig,
     WorkloadConfig,
     generate,
     serve_workload,
 )
-from repro.serve.metrics import RequestMetrics
-from repro.serve.telemetry import Histogram
+from repro.serve.log import (
+    Arrival,
+    Finish,
+    Gauges,
+    IterationEvent,
+    Participation,
+    RunStart,
+    Teardown,
+)
+from repro.serve.slo import (
+    STALL_ITERATIONS,
+    STORM_PREEMPTIONS,
+    WINDOW_REQUESTS,
+)
 
 DEVICE = ALL_DEVICES["NVIDIA RTX 4090"]
 
@@ -67,6 +80,29 @@ def _workload(**over):
 def _run(telemetry=None, spec=None, num_blocks=128, **wl):
     return serve_workload(TINY_LLAMA, DEVICE, _workload(**wl),
                           _engine_config(telemetry, spec, num_blocks))
+
+
+# Hand-built logs for the component tests: a run start, then events.
+
+
+def _it(t0, t1=None, **fields):
+    return IterationEvent(t0, t0 if t1 is None else t1, **fields)
+
+
+def _arrivals(*req_ids):
+    return [Arrival(0.0, r, "llm", 8, 4) for r in req_ids]
+
+
+def _finish(seq_id, ttft, tpot=None, tokens=1):
+    return Finish(seq_id, ttft, tpot, ttft, tokens, 0)
+
+
+def _fold(*events, window_s=None):
+    start = RunStart(num_blocks=16, page_size=4, max_num_seqs=8,
+                     max_num_batched_tokens=64, slo_ttft_s=1.0,
+                     slo_tpot_s=0.1, vm_names=("llm",), prefix_cache=False,
+                     capture_kernels=False)
+    return EngineTelemetry([start, *events], window_s)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +153,7 @@ def test_refcount_audit_always_on_report_and_clean():
 
 
 # ---------------------------------------------------------------------------
-# 2. Telemetry-on determinism
+# 2. Telemetry-on determinism; telemetry is a fold over the log
 # ---------------------------------------------------------------------------
 
 
@@ -130,6 +166,62 @@ def test_telemetry_deterministic_across_same_seed_runs():
     assert a.telemetry.to_prometheus() == b.telemetry.to_prometheus()
     assert (json.dumps(a.chrome_trace(), sort_keys=True)
             == json.dumps(b.chrome_trace(), sort_keys=True))
+
+
+def _pressure_run(telemetry):
+    return serve_workload(
+        TINY_LLAMA, TEST_DEVICE,
+        _workload(num_requests=16, seed=0, arrival_rate=200.0,
+                  prompt_min=4, prompt_max=20, output_min=2,
+                  output_max=24),
+        EngineConfig(
+            page_size=4, num_blocks=10,
+            scheduler=SchedulerConfig(max_num_seqs=8,
+                                      max_num_batched_tokens=128,
+                                      prefill_chunk=16),
+            telemetry=telemetry,
+        ),
+    )
+
+
+def _mixed_run(telemetry):
+    engine = ServingEngine(
+        TINY_LLAMA, TEST_DEVICE,
+        EngineConfig(page_size=4, num_blocks=12, telemetry=telemetry,
+                     scheduler=SchedulerConfig(max_num_seqs=8,
+                                               max_num_batched_tokens=64,
+                                               prefill_chunk=8)),
+        whisper_config=TINY_WHISPER, denoise_config=TINY_DENOISE)
+    return engine.run(generate(WorkloadConfig(
+        num_requests=12, seed=3, arrival_rate=1e6, prompt_min=4,
+        prompt_max=20, output_min=2, output_max=12,
+        whisper_fraction=0.25, denoise_fraction=0.25)))
+
+
+#: Telemetered scenarios without kernel capture: ``(make(telemetry),
+#: telemetry window)``.
+FOLD_CASES = {
+    "plain": (lambda tel: _run(telemetry=tel), None),
+    "spec_window": (lambda tel: _run(
+        telemetry=tel, spec=SpecConfig(num_spec_tokens=2)), 0.01),
+    "pressure": (_pressure_run, None),
+    "mixed": (_mixed_run, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_plain_run_log_folds_to_the_telemetered_report(case):
+    # Telemetry is a fold over the log, and the log does not depend on
+    # whether telemetry is on: folding a plain run's log reproduces the
+    # telemetered run's telemetry byte for byte.
+    make, window_s = FOLD_CASES[case]
+    plain = make(None)
+    told = make(TelemetryConfig(window_s=window_s))
+    folded = EngineTelemetry(plain.log, window_s)
+    assert (json.dumps(folded.to_dict(), sort_keys=True)
+            == json.dumps(told.telemetry.to_dict(), sort_keys=True))
+    assert folded.to_prometheus() == told.telemetry.to_prometheus()
+    assert folded.trace_extension() == told.telemetry.trace_extension()
 
 
 def test_telemetry_counters_match_engine_truth():
@@ -151,19 +243,7 @@ def test_telemetry_counters_match_engine_truth():
 
 
 def test_preemption_telemetry_under_pool_pressure():
-    report = serve_workload(
-        TINY_LLAMA, TEST_DEVICE,
-        _workload(num_requests=16, seed=0, arrival_rate=200.0,
-                  prompt_min=4, prompt_max=20, output_min=2,
-                  output_max=24),
-        EngineConfig(
-            page_size=4, num_blocks=10,
-            scheduler=SchedulerConfig(max_num_seqs=8,
-                                      max_num_batched_tokens=128,
-                                      prefill_chunk=16),
-            telemetry=TelemetryConfig(),
-        ),
-    )
+    report = _pressure_run(TelemetryConfig())
     assert report.summary["preemptions"] > 0
     counters = report.telemetry.registry.to_dict()["counters"]
     preempts = sum(v for k, v in counters.items()
@@ -205,11 +285,10 @@ def test_counter_rejects_decrease():
 
 
 def test_histogram_sliding_window_prunes_on_analytical_clock():
-    h = Histogram("lat", window_s=1.0)
-    h.observe(10.0, ts_s=0.0)
-    h.observe(20.0, ts_s=0.5)
-    h.observe(30.0, ts_s=2.0)  # evicts ts 0.0 and 0.5 (cutoff 1.0)
-    snap = h.snapshot()
+    tel = _fold(_it(0.0, batched_tokens=10), _it(0.5, batched_tokens=20),
+                _it(2.0, batched_tokens=30),  # evicts ts 0.0, 0.5 (cutoff 1.0)
+                window_s=1.0)
+    snap = tel.registry.to_dict()["histograms"]["iteration_batched_tokens"]
     assert snap["count"] == 3           # cumulative survives the window
     assert snap["sum"] == 60.0
     assert snap["window_count"] == 1
@@ -217,25 +296,23 @@ def test_histogram_sliding_window_prunes_on_analytical_clock():
 
 
 def test_histogram_no_window_keeps_everything():
-    h = Histogram("lat")
-    for i in range(100):
-        h.observe(float(i), ts_s=float(i))
-    snap = h.snapshot()
+    tel = _fold(*(_it(float(i), batched_tokens=i) for i in range(100)))
+    snap = tel.registry.to_dict()["histograms"]["iteration_batched_tokens"]
     assert snap["window_count"] == 100
     assert snap["p50"] == 49.0
 
 
 def test_prometheus_exposition_format():
-    reg = MetricsRegistry(prefix="repro_serve")
-    reg.counter("reqs_total", "finished requests", kind="llm").inc(3)
-    reg.gauge("queue_depth", "waiting").set(5)
-    h = reg.histogram("ttft_seconds", "time to first token")
-    h.observe(0.5, 0.0)
-    h.observe(1.5, 1.0)
-    text = reg.to_prometheus()
+    decode = Participation(0, "decode", "decode", 4, 1)
+    tel = _fold(
+        *_arrivals(0, 1),
+        _it(1.0, participations=(decode,) * 3,
+            gauges=Gauges(waiting=3, swapped=2),
+            finished=(_finish(0, ttft=0.5), _finish(1, ttft=1.5))))
+    text = tel.to_prometheus()
     lines = text.splitlines()
-    assert "# TYPE repro_serve_reqs_total counter" in lines
-    assert 'repro_serve_reqs_total{kind="llm"} 3.0' in lines
+    assert "# TYPE repro_serve_tokens_total counter" in lines
+    assert 'repro_serve_tokens_total{path="decode"} 3.0' in lines
     assert "# TYPE repro_serve_queue_depth gauge" in lines
     assert "repro_serve_queue_depth 5.0" in lines
     assert "# TYPE repro_serve_ttft_seconds summary" in lines
@@ -244,58 +321,51 @@ def test_prometheus_exposition_format():
     assert "repro_serve_ttft_seconds_count 2" in lines
     assert text.endswith("\n")
     # HELP precedes TYPE precedes samples for each metric.
-    assert (lines.index("# HELP repro_serve_reqs_total finished requests")
-            < lines.index("# TYPE repro_serve_reqs_total counter"))
+    assert (lines.index("# HELP repro_serve_tokens_total output units "
+                        "committed")
+            < lines.index("# TYPE repro_serve_tokens_total counter"))
 
 
 # ---------------------------------------------------------------------------
-# 3b. SLO monitor
+# 3b. SLO monitor (folded from hand-built logs at the real thresholds)
 # ---------------------------------------------------------------------------
 
 
-def _metrics(req_id, ttft, tpot, arrival=0.0, n_tokens=4):
-    m = RequestMetrics(req_id=req_id, arrival_s=arrival, prompt_len=8,
-                       output_len=n_tokens)
-    t0 = arrival + ttft
-    m.token_times = [t0 + i * tpot for i in range(n_tokens)]
-    m.finish_s = m.token_times[-1]
-    return m
+def _kinds(tel, kind):
+    return [a for a in tel.slo.anomalies if a["kind"] == kind]
 
 
 def test_slo_stall_anomaly_fires_once_at_threshold():
-    mon = SLOMonitor(SLOConfig(stall_iterations=3), slo_ttft_s=1.0,
-                     slo_tpot_s=0.1)
-    for i in range(5):
-        mon.on_iteration(i, t_s=float(i), committed=0, preemptions=0,
-                         queue_depth=2)
-    stalls = [a for a in mon.anomalies if a["kind"] == "stall"]
+    idle = [_it(float(i)) for i in range(STALL_ITERATIONS + 2)]
+    tel = _fold(*idle)
+    stalls = _kinds(tel, "stall")
     assert len(stalls) == 1
-    assert stalls[0]["iteration"] == 2  # exactly at the threshold
+    # Exactly at the threshold.
+    assert stalls[0]["iteration"] == STALL_ITERATIONS - 1
     # Progress resets the streak; a fresh stall can fire again.
-    mon.on_iteration(5, 5.0, committed=3, preemptions=0, queue_depth=0)
-    for i in range(6, 9):
-        mon.on_iteration(i, float(i), committed=0, preemptions=0,
-                         queue_depth=1)
-    assert len([a for a in mon.anomalies if a["kind"] == "stall"]) == 2
+    progress = _it(100.0, participations=(
+        Participation(0, "decode", "decode", 4, 3),))
+    again = [_it(101.0 + i) for i in range(STALL_ITERATIONS)]
+    tel = _fold(*idle, progress, *again)
+    assert len(_kinds(tel, "stall")) == 2
 
 
 def test_slo_preemption_storm_edge_triggered():
-    mon = SLOMonitor(SLOConfig(storm_preemptions=4, window_requests=8),
-                     slo_ttft_s=1.0, slo_tpot_s=0.1)
-    for i in range(4):
-        mon.on_iteration(i, float(i), committed=0, preemptions=2,
-                         queue_depth=4)
-    storms = [a for a in mon.anomalies if a["kind"] == "preemption_storm"]
+    evict = ((0, 4, "swap"), (1, 4, "swap"))
+    tel = _fold(*(_it(float(i), preempted=evict)
+                  for i in range(STORM_PREEMPTIONS)))
+    storms = _kinds(tel, "preemption_storm")
     assert len(storms) == 1  # stays open, does not re-fire every step
-    assert storms[0]["window_preemptions"] >= 4
+    assert storms[0]["window_preemptions"] >= STORM_PREEMPTIONS
+    assert storms[0]["iteration"] == STORM_PREEMPTIONS // 2 - 1
 
 
 def test_slo_attainment_and_violation_records():
-    mon = SLOMonitor(SLOConfig(window_requests=4), slo_ttft_s=1.0,
-                     slo_tpot_s=0.1)
-    mon.on_finish(_metrics(0, ttft=0.5, tpot=0.05), t_s=1.0, iteration=0)
-    mon.on_finish(_metrics(1, ttft=2.0, tpot=0.05), t_s=2.0, iteration=1)
-    mon.on_finish(_metrics(2, ttft=0.5, tpot=0.5), t_s=3.0, iteration=2)
+    three = (_finish(0, ttft=0.5, tpot=0.05), _finish(1, ttft=2.0, tpot=0.05),
+             _finish(2, ttft=0.5, tpot=0.5))
+    tel = _fold(*_arrivals(*range(3)),
+                *(_it(1.0 + i, finished=(f,)) for i, f in enumerate(three)))
+    mon = tel.slo
     assert mon.window_ttft_attainment == pytest.approx(2 / 3)
     assert mon.window_tpot_attainment == pytest.approx(2 / 3)
     assert mon.violations == 2
@@ -305,79 +375,101 @@ def test_slo_attainment_and_violation_records():
     json.dumps(snap)  # JSON-ready
     assert snap["anomaly_counts"] == {"slo_violation": 2}
     assert snap["window_ttft_s"]["p50"] == 0.5
+    assert snap["window_requests"] == WINDOW_REQUESTS
+    # A full window of good finishes slides the violations out of the
+    # attainment window; the violation count is cumulative.
+    good = [_finish(3 + i, ttft=0.5, tpot=0.05)
+            for i in range(WINDOW_REQUESTS)]
+    tel = _fold(*_arrivals(*range(3 + WINDOW_REQUESTS)),
+                *(_it(1.0 + i, finished=(f,))
+                  for i, f in enumerate(three + tuple(good))))
+    assert tel.slo.window_ttft_attainment == 1.0
+    assert tel.slo.violations == 2
 
 
 def test_slo_one_token_request_vacuously_meets_tpot():
-    mon = SLOMonitor(SLOConfig(), slo_ttft_s=1.0, slo_tpot_s=0.1)
-    mon.on_finish(_metrics(0, ttft=0.2, tpot=0.0, n_tokens=1), 1.0, 0)
-    assert mon.violations == 0
-    assert mon.window_tpot_attainment is None  # nothing to measure
+    tel = _fold(*_arrivals(0), _it(1.0, finished=(_finish(0, ttft=0.2),)))
+    assert tel.slo.violations == 0
+    assert tel.slo.window_tpot_attainment is None  # nothing to measure
 
 
 # ---------------------------------------------------------------------------
-# 3c. Span recorder
+# 3c. Lifecycle spans (folded from hand-built logs)
 # ---------------------------------------------------------------------------
+
+
+def _spans(tel):
+    return {(s.name, s.depth): s for s in tel.spans.spans}
 
 
 def test_span_lifecycle_with_queueing_and_phases():
-    rec = SpanRecorder()
-    rec.admitted(7, arrival_s=0.0, t=1.0, kind="llm")
-    rec.activity(7, "prefill", 1.0, 2.0)
-    rec.activity(7, "prefill", 2.0, 3.0)   # merges into one segment
-    rec.activity(7, "decode", 3.0, 4.0)    # closes prefill
-    rec.finished(7, 5.0, output_tokens=3)
-    spans = {(s.name, s.depth): s for s in rec.spans}
+    prefill = Participation(7, "prefill", "prefill", 0, 4)
+    tel = _fold(
+        Arrival(0.0, 7, "llm", 8, 3),
+        _it(1.0, 2.0, admitted=(7,), participations=(prefill,)),
+        # merges into one segment
+        _it(2.0, 3.0, participations=(prefill._replace(past=4),)),
+        # closes prefill
+        _it(3.0, 4.0, participations=(
+            Participation(7, "decode", "decode", 8, 1),)),
+        _it(4.0, 5.0, finished=(_finish(7, ttft=1.0, tokens=3),)))
+    spans = _spans(tel)
     assert spans[("queued", 0)].start_s == 0.0
     assert spans[("queued", 0)].end_s == 1.0
     assert spans[("prefill", 1)].start_s == 1.0
     assert spans[("prefill", 1)].end_s == 3.0  # merged, not two segments
     # The decode segment ends at its last recorded activity (4.0), not
-    # at the finish call — no activity was claimed over [4, 5].
+    # at the finish — no activity was claimed over [4, 5].
     assert spans[("decode", 1)].end_s == 4.0
     root = spans[("request", 0)]
     assert (root.start_s, root.end_s) == (1.0, 5.0)
     assert root.args["output_tokens"] == 3
+    assert root.args["kind"] == "llm"
 
 
 def test_span_preemption_and_resume():
-    rec = SpanRecorder()
-    rec.admitted(1, arrival_s=0.0, t=0.0)
-    rec.activity(1, "decode", 0.0, 1.0)
-    rec.preempted(1, 1.0, "swap", swapped_tokens=8)
-    rec.resumed(1, 3.0)
-    rec.activity(1, "decode", 3.0, 4.0)
-    rec.finished(1, 4.0)
-    names = [s.name for s in rec.spans]
+    decode = Participation(1, "decode", "decode", 4, 1)
+    tel = _fold(
+        *_arrivals(1),
+        _it(0.0, 1.0, admitted=(1,), participations=(decode,)),
+        _it(1.0, 2.0, preempted=((1, 8, "swap"),)),
+        _it(3.0, 4.0, swapped_in=((1, 8),), participations=(decode,),
+            finished=(_finish(1, ttft=1.0),)))
+    names = [s.name for s in tel.spans.spans]
     assert "preempted[swap]" in names
-    pre = next(s for s in rec.spans if s.name == "preempted[swap]")
+    pre = next(s for s in tel.spans.spans if s.name == "preempted[swap]")
     assert (pre.start_s, pre.end_s) == (1.0, 3.0)
+    assert pre.args == {"copied_tokens": 8}
     # Two decode segments: preemption closed the first.
     assert names.count("decode") == 2
 
 
 def test_span_recompute_readmission_closes_preemption():
-    rec = SpanRecorder()
-    rec.admitted(2, arrival_s=0.0, t=0.0)
-    rec.activity(2, "decode", 0.0, 1.0)
-    rec.preempted(2, 1.0, "recompute")
-    rec.admitted(2, arrival_s=0.0, t=2.5)  # re-admission, not a new root
-    rec.finished(2, 3.0)
-    assert [s.name for s in rec.spans].count("request") == 1
-    assert [s.name for s in rec.spans].count("queued") == 0  # only once,
-    # and admission at t=0 == arrival produced no queued span at all
-    pre = next(s for s in rec.spans if s.name == "preempted[recompute]")
+    tel = _fold(
+        *_arrivals(2),
+        _it(0.0, 1.0, admitted=(2,), participations=(
+            Participation(2, "decode", "decode", 4, 1),)),
+        _it(1.0, 2.0, preempted=((2, 0, "recompute"),)),
+        # re-admission, not a new root
+        _it(2.5, 3.0, admitted=(2,), finished=(_finish(2, ttft=1.0),)))
+    names = [s.name for s in tel.spans.spans]
+    assert names.count("request") == 1
+    assert names.count("queued") == 0  # only once, and admission at
+    # t=0 == arrival produced no queued span at all
+    pre = next(s for s in tel.spans.spans if s.name == "preempted[recompute]")
     assert (pre.start_s, pre.end_s) == (1.0, 2.5)
 
 
 def test_span_finalize_closes_dangling():
-    rec = SpanRecorder()
-    rec.admitted(3, arrival_s=0.0, t=0.5)
-    rec.activity(3, "prefill", 0.5, 1.0)
-    rec.finalize(2.0)
-    root = next(s for s in rec.spans if s.name == "request")
+    tel = _fold(
+        *_arrivals(3),
+        _it(0.5, 1.0, admitted=(3,), participations=(
+            Participation(3, "prefill", "prefill", 0, 4),)),
+        Teardown(2.0, {}))
+    root = next(s for s in tel.spans.spans if s.name == "request")
     assert root.end_s == 2.0
     assert root.args["unfinished"] is True
-    assert not rec._open_phase and not rec._open_root
+    assert not tel.spans._open_phase and not tel.spans._open_root
 
 
 # ---------------------------------------------------------------------------
