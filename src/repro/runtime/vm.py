@@ -384,17 +384,6 @@ def _describe(args) -> Optional[List[Tuple]]:
     return sig
 
 
-def _cost_vars(func: tir.PrimFunc) -> Tuple[sym.SymVar, ...]:
-    """The explicit symbolic parameters ``tir.count_flops`` / ``count_bytes``
-    read beyond the argument shapes: those in an iteration extent or an
-    intermediate buffer's shape.  One read only by index expressions
-    (rope's position offset) moves no count, so it keys no cache entry."""
-    exprs = [extent for stage in func.stages for _, extent in stage.iter_domain()]
-    exprs += [dim for buf in func.intermediate_buffers() for dim in buf.shape]
-    used = {var.key() for expr in exprs for var in sym.free_vars(expr)}
-    return tuple(var for var in func.sym_params if var.key() in used)
-
-
 class VirtualMachine:
     """Interprets an Executable on a modeled device.
 
@@ -430,8 +419,7 @@ class VirtualMachine:
         self.pool = RuntimePool(self.stats)
         self._storage_cache: Dict[Tuple[str, int], Storage] = {}
         self._graph_cache: Dict[Tuple, int] = {}
-        self._cost_cache: Dict[Tuple, Tuple[int, int]] = {}
-        self._cost_vars: Dict[str, Tuple[sym.SymVar, ...]] = {}
+        self._costs: Dict[tir.PrimFunc, tir.CostTerms] = {}
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
         self._plans: Optional[ReplayPlans] = None
@@ -950,7 +938,7 @@ class VirtualMachine:
         sym_values = [self._dim_value(d, frame) for d in instr.sym_args]
 
         bindings = self._bind_shapes(func, inputs + outputs, sym_values)
-        flops, nbytes = self._kernel_cost(instr.func, func, inputs + outputs, bindings)
+        flops, nbytes = self._kernel_cost(func, bindings)
         event = self._launch(False, instr.func, flops, nbytes,
                              self._efficiency(func, outputs), instr.prov,
                              inputs + outputs, bindings)
@@ -1041,21 +1029,13 @@ class VirtualMachine:
                     bindings[dim] = int(actual)
         return bindings
 
-    def _kernel_cost(self, name, func, arrays, bindings):
-        """(flops, bytes) of one launch, cached on the argument shapes and
-        the explicit symbolic arguments the counts read (:func:`_cost_vars`)."""
-        cost_vars = self._cost_vars.get(name)
-        if cost_vars is None:
-            cost_vars = self._cost_vars[name] = _cost_vars(func)
-        key = (name, tuple(a.shape for a in arrays),
-               *[bindings.get(var) for var in cost_vars])
-        cached = self._cost_cache.get(key)
-        if cached is not None:
-            return cached
-        flops = tir.count_flops(func, bindings)
-        nbytes = tir.count_bytes(func, bindings)
-        self._cost_cache[key] = (flops, nbytes)
-        return flops, nbytes
+    def _kernel_cost(self, func: tir.PrimFunc, bindings) -> Tuple[int, int]:
+        """(flops, bytes) of one launch: ``func``'s cost terms, built on its
+        first launch, evaluated under the launch's bindings."""
+        costs = self._costs.get(func)
+        if costs is None:
+            costs = self._costs[func] = tir.cost_terms(func)
+        return costs.flops(bindings), costs.bytes(bindings)
 
     # -- builtins -----------------------------------------------------------------------
 

@@ -122,12 +122,3 @@ class TokenOracle:
         target?  Independent of :meth:`target_token`'s hash channel."""
         h = _mix(self.seed, _DRAFT_CHANNEL, req_id, position)
         return _unit(h) < self.draft_quality
-
-    def draft_token(self, req_id: int, position: int) -> int:
-        """The draft's actual proposal: the target token when the
-        agreement draw hits, any *other* vocab entry when it misses."""
-        t = self.target_token(req_id, position)
-        if self.draft_matches(req_id, position):
-            return t
-        h = _mix(self.seed, _DRAFT_CHANNEL, req_id, position, 1)
-        return (t + 1 + h % (self.vocab_size - 1)) % self.vocab_size

@@ -15,10 +15,18 @@ estimation used by schedule decisions and the device cost model.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .. import dtypes, sym
-from .expr import BinValue, BufferRead, Cast, Value, contains_gather, count_arith_ops
+from .expr import (
+    BinValue,
+    BufferRead,
+    Cast,
+    GatherRead,
+    Value,
+    contains_gather,
+    count_arith_ops,
+)
 from .function import Buffer, PrimFunc, Stage
 
 
@@ -172,89 +180,130 @@ def detect_workspaces(func: PrimFunc) -> List[Buffer]:
     return func.workspace_buffers()
 
 
-def count_flops(func: PrimFunc, bindings: Optional[Dict[sym.SymVar, int]] = None) -> int:
-    """Estimated arithmetic operations for one execution."""
-    bindings = bindings or {}
+#: One cost term, ``coefficient × ∏ factors``.  A factor is a ``SymVar``
+#: (looked up in the bindings) or a compound ``PrimExpr`` (evaluated under
+#: them); constant dimensions are folded into the coefficient.
+Term = Tuple[int, Tuple[sym.PrimExpr, ...]]
+
+
+class CostTerms(NamedTuple):
+    """A tensor program's FLOP and byte counts as sums of products of its
+    symbolic dimensions, built once per PrimFunc by :func:`cost_terms`.
+
+    Evaluating them is the only definition of kernel cost: each count is
+    an exact Python ``int``, so pricing a launch never walks TensorIR.
+    """
+
+    flop_terms: Tuple[Term, ...]
+    byte_terms: Tuple[Term, ...]
+
+    def flops(self, bindings: Dict[sym.SymVar, int]) -> int:
+        """Estimated arithmetic operations for one execution."""
+        return _evaluate(self.flop_terms, bindings)
+
+    def bytes(self, bindings: Dict[sym.SymVar, int]) -> int:
+        """Estimated global-memory traffic for one execution."""
+        return _evaluate(self.byte_terms, bindings)
+
+
+def _evaluate(terms: Tuple[Term, ...], bindings: Dict[sym.SymVar, int]) -> int:
     total = 0
+    for value, factors in terms:
+        for factor in factors:
+            if isinstance(factor, sym.SymVar):
+                try:
+                    value *= int(bindings[factor])
+                except KeyError:
+                    raise KeyError(
+                        f"unbound symbolic variable '{factor.name}'") from None
+            else:
+                value *= sym.evaluate(factor, bindings)
+        total += value
+    return total
+
+
+def _term(coefficient: int, dims) -> Term:
+    """``coefficient × ∏ dims`` with products flattened and constants folded."""
+    factors: List[sym.PrimExpr] = []
+    stack = list(reversed(dims))
+    while stack:
+        dim = stack.pop()
+        if isinstance(dim, sym.IntImm):
+            coefficient *= dim.value
+        elif isinstance(dim, sym.Mul):
+            stack += (dim.b, dim.a)
+        else:
+            factors.append(dim)
+    return coefficient, tuple(factors)
+
+
+def cost_terms(func: PrimFunc) -> CostTerms:
+    """FLOP and byte terms of ``func`` from one walk of its stages.
+
+    FLOPs: each stage's iteration count times its arithmetic operations
+    (plus the combiner update of a reduction).  Bytes: parameters and
+    ``global``-scope intermediates (workspaces) count; ``local``
+    intermediates are assumed to stay on chip — this is exactly why fusing
+    elementwise stages into their producer reduces memory traffic in the
+    model, mirroring the paper's fusion motivation (§4.2).  A workspace is
+    written then read back (twice its size); a parameter read only through
+    gathers touches one element per iteration of each gathering stage, not
+    its full extent (an embedding lookup reads b rows of the (vocab,
+    hidden) table, not the whole gigabyte).
+    """
+    flop_terms: List[Term] = []
+    gathers: Dict[int, List[List[sym.PrimExpr]]] = {}
+    plain_read_ids = set()
     for stage in func.stages:
-        iters = 1
-        for _, extent in stage.iter_domain():
-            iters *= sym.evaluate(extent, bindings)
+        extents = [extent for _, extent in stage.iter_domain()]
         ops = max(1, count_arith_ops(stage.value))
         if stage.is_reduction():
             ops += 1  # the combiner update
-        total += iters * ops
-    return total
+        flop_terms.append(_term(ops, extents))
+
+        stack = [stage.value]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, GatherRead):
+                gathers.setdefault(value.data._id, []).append(extents)
+                plain_read_ids.add(value.index_buffer._id)
+                continue
+            if isinstance(value, BufferRead):
+                plain_read_ids.add(value.buffer._id)
+            stack += value.children()
+        plain_read_ids.add(stage.output._id)
+
+    byte_terms: List[Term] = []
+    for buf in func.params:
+        itemsize = dtypes.itemsize(buf.dtype)
+        if buf._id in gathers and buf._id not in plain_read_ids:
+            byte_terms += [_term(itemsize, extents) for extents in gathers[buf._id]]
+        else:
+            byte_terms.append(_term(itemsize, buf.shape))
+    for buf in func.intermediate_buffers():
+        if buf.scope == "global":
+            byte_terms.append(_term(2 * dtypes.itemsize(buf.dtype), buf.shape))
+    return CostTerms(tuple(flop_terms), tuple(byte_terms))
+
+
+def count_flops(func: PrimFunc, bindings: Optional[Dict[sym.SymVar, int]] = None) -> int:
+    """Arithmetic operations of one execution (see :func:`cost_terms`)."""
+    return cost_terms(func).flops(bindings or {})
 
 
 def count_bytes(
     func: PrimFunc, bindings: Optional[Dict[sym.SymVar, int]] = None
 ) -> int:
-    """Estimated global-memory traffic for one execution.
-
-    Parameters and ``global``-scope intermediates (workspaces) count;
-    ``local`` intermediates are assumed to stay on chip — this is exactly
-    why fusing elementwise stages into their producer reduces memory
-    traffic in the model, mirroring the paper's fusion motivation (§4.2).
-    """
-    bindings = bindings or {}
-
-    def buf_bytes(buf: Buffer) -> int:
-        elems = 1
-        for dim in buf.shape:
-            elems *= sym.evaluate(dim, bindings)
-        return elems * dtypes.itemsize(buf.dtype)
-
-    # Buffers read only through gathers touch one element per iteration,
-    # not their full extent (an embedding lookup reads b rows of the
-    # (vocab, hidden) table, not the whole gigabyte).
-    from .expr import GatherRead
-
-    gather_elems: Dict[int, int] = {}
-    plain_read_ids = set()
-    for stage in func.stages:
-        iters = 1
-        for _, extent in stage.iter_domain():
-            iters *= sym.evaluate(extent, bindings)
-
-        def scan(value, iters=iters):
-            if isinstance(value, GatherRead):
-                gather_elems[value.data._id] = (
-                    gather_elems.get(value.data._id, 0) + iters
-                )
-                plain_read_ids.add(value.index_buffer._id)
-                return
-            from .expr import BufferRead
-
-            if isinstance(value, BufferRead):
-                plain_read_ids.add(value.buffer._id)
-            for child in value.children():
-                scan(child, iters)
-
-        scan(stage.value)
-        plain_read_ids.add(stage.output._id)
-
-    total = 0
-    for buf in func.params:
-        if buf._id in gather_elems and buf._id not in plain_read_ids:
-            total += gather_elems[buf._id] * dtypes.itemsize(buf.dtype)
-        else:
-            total += buf_bytes(buf)
-    for buf in func.intermediate_buffers():
-        if buf.scope == "global":
-            total += 2 * buf_bytes(buf)  # written then read back
-    return total
+    """Global-memory traffic of one execution (see :func:`cost_terms`)."""
+    return cost_terms(func).bytes(bindings or {})
 
 
 def symbolic_flops(func: PrimFunc) -> sym.PrimExpr:
     """FLOPs as a symbolic expression of the function's free variables."""
     total: sym.PrimExpr = sym.IntImm(0)
-    for stage in func.stages:
-        iters: sym.PrimExpr = sym.IntImm(1)
-        for _, extent in stage.iter_domain():
-            iters = iters * extent
-        ops = max(1, count_arith_ops(stage.value))
-        if stage.is_reduction():
-            ops += 1
-        total = total + iters * ops
+    for coefficient, factors in cost_terms(func).flop_terms:
+        term: sym.PrimExpr = sym.IntImm(coefficient)
+        for factor in factors:
+            term = term * factor
+        total = total + term
     return sym.simplify(total)

@@ -1,15 +1,16 @@
-"""The kernel-cost cache keys on what the counts read.
+"""A launch's kernel cost follows what the counts read.
 
-``tir.count_flops`` / ``count_bytes`` read the argument shapes and the
-explicit symbolic arguments that set an iteration extent or an
-intermediate buffer's shape; a cached cost must not outlive a change in
-either.  An argument read only by index expressions (rope's position
-offset) moves no count, so it must not split the cache.
+``tir.cost_terms`` read the argument shapes and the explicit symbolic
+arguments that set an iteration extent or an intermediate buffer's
+shape; a launch's charge must move with either.  An argument read only
+by index expressions (rope's position offset) moves no count, so it must
+not move the charge.
 """
 
 import pytest
 
 from repro import sym, tir
+from repro.obs.trace import TraceRecorder
 from repro.runtime import (
     AllocTensor,
     CallTir,
@@ -59,8 +60,8 @@ def test_cost_cache_keys_on_symbolic_args_that_move_the_count():
             for name in ("few", "many")} == pytest.approx(fresh, rel=1e-9)
 
 
-def test_cost_cache_ignores_index_only_symbolic_args():
-    # ``m`` is only stored as a value: every value shares one entry.
+def test_index_only_symbolic_args_charge_equal_kernel_time():
+    # ``m`` is only stored as a value: every value costs the same.
     m = sym.SymVar("m")
     f = tir.TirBuilder("fill")
     out = f.out("O", (4,), "i64")
@@ -76,5 +77,8 @@ def test_cost_cache_ignores_index_only_symbolic_args():
         Ret(reg=0),
     ], 1, 0)
     vm = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+    vm.tracer = TraceRecorder()
     vm.run("main")
-    assert len(vm._cost_cache) == 1
+    three, nine = [e for e in vm.tracer.events if e.kind == "kernel"]
+    assert (three.args["sym"], nine.args["sym"]) == ({"m": 3}, {"m": 9})
+    assert three.dur_s == nine.dur_s > 0

@@ -196,17 +196,20 @@ class TestKernelAccounting:
         out = vm.run("main", NDArray.from_numpy(np.zeros(9, np.float32)))
         np.testing.assert_array_equal(out.numpy(), np.full(4, 9, dtype=np.int64))
 
-    def test_cost_cache_hit(self):
+    def test_equal_launches_charge_equal_time(self):
         exe = Executable()
         exe.tir_funcs["copy"] = _identity_tir()
-        body = [
-            AllocTensor(dst=1, dims=[const_dim(8)], dtype="f32"),
-            CallTir(func="copy", args=[0], outs=[1]),
-            CallTir(func="copy", args=[0], outs=[1]),
-            Ret(reg=1),
-        ]
-        exe.functions["main"] = VMFunction("main", ["x"], body, 2, 0)
+        launch = CallTir(func="copy", args=[0], outs=[1])
+        for name, launches in (("once", 1), ("twice", 2)):
+            exe.functions[name] = VMFunction(name, ["x"], [
+                AllocTensor(dst=1, dims=[const_dim(8)], dtype="f32"),
+                *[launch] * launches,
+                Ret(reg=1),
+            ], 2, 0)
+        x = NDArray.abstract((8,), "f32")
+        once = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+        once.run("once", x)
         vm = VirtualMachine(exe, TEST_DEVICE, concrete=False)
-        vm.run("main", NDArray.abstract((8,), "f32"))
-        assert len(vm._cost_cache) == 1  # same shapes -> one entry
+        vm.run("twice", x)
         assert vm.stats.kernel_launches == 2
+        assert vm.stats.kernel_time_s == 2 * once.stats.kernel_time_s > 0

@@ -250,20 +250,6 @@ def test_oracle_is_a_pure_function():
                for p in range(50))
 
 
-def test_oracle_draft_token_matches_iff_agreement():
-    o = TokenOracle(seed=0, vocab_size=64, draft_quality=0.5)
-    hits = 0
-    for pos in range(400):
-        t, d = o.target_token(5, pos), o.draft_token(5, pos)
-        if o.draft_matches(5, pos):
-            assert d == t
-            hits += 1
-        else:
-            assert d != t
-        assert 0 <= d < 64
-    assert abs(hits / 400 - 0.5) < 0.08
-
-
 def test_spec_config_validation():
     with pytest.raises(ValueError):
         SpecConfig(num_spec_tokens=0)
