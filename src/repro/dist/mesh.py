@@ -179,9 +179,9 @@ class MeshExecutor:
 
     def _sync_clock(self) -> None:
         """Lockstep barrier: every rank's clock advances to the max."""
-        t = max(vm.stats.time_s for vm in self.vms)
+        t = max(vm.stats.time_as for vm in self.vms)
         for vm in self.vms:
-            vm.stats.time_s = t
+            vm.stats.time_as = t
 
     # -- statistics --------------------------------------------------------------
 
@@ -221,7 +221,7 @@ class MeshExecutor:
         for rank, vm in enumerate(self._rank_vms):
             if vm.tracer is not None:
                 merged.extend((rank, e) for e in vm.tracer.events)
-        merged.sort(key=lambda re: (re[1].ts_s, re[0]))
+        merged.sort(key=lambda re: (re[1].ts_as, re[0]))
         return merged
 
 

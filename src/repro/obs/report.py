@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from ..runtime.profiler import to_s
 from .provenance import render
 from .stats import extended_dist
 from .trace import TraceEvent, TraceRecorder
@@ -59,7 +60,7 @@ class OpTable:
     def from_events(cls, events: Sequence[TraceEvent], by: str = "name") -> "OpTable":
         if by not in ("name", "op"):
             raise ValueError(f"unknown grouping {by!r}; use 'name' or 'op'")
-        total = sum(e.dur_s for e in events)
+        total = sum(e.dur_as for e in events)
         groups: Dict[str, Dict[str, Any]] = {}
         for event in events:
             if event.kind in COMPUTE_KINDS:
@@ -74,19 +75,20 @@ class OpTable:
                     "name": key,
                     "kind": event.kind,
                     "calls": 0,
-                    "time_s": 0.0,
+                    "time_s": 0,  # attoseconds until the rows are built
                     "flops": 0,
                     "bytes": 0,
                     "provenance": prov,
                 }
             row["calls"] += 1
-            row["time_s"] += event.dur_s
+            row["time_s"] += event.dur_as
             row["flops"] += int(event.args.get("flops", 0))
             row["bytes"] += int(event.args.get("bytes", 0))
         rows = sorted(groups.values(), key=lambda r: -r["time_s"])
         for row in rows:
             row["pct"] = 100.0 * row["time_s"] / total if total else 0.0
-        return cls(rows, total)
+            row["time_s"] = to_s(row["time_s"])
+        return cls(rows, to_s(total))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"total_time_s": self.total_time_s, "rows": self.rows}

@@ -21,10 +21,11 @@ kind               emitted for
                    per-kernel costs inside are separate events)
 =================  ==========================================================
 
-Durations are attributed exactly: the sum of ``dur_s`` over all events of
-a trace equals the ``ExecutionStats.time_s`` accumulated while recording
-(each ``stats.time_s`` increment in the VM maps to exactly one event).
-Timestamps are the simulated clock *before* the event's cost is charged.
+Durations are attributed exactly: the sum of ``dur_as`` over all events of
+a trace equals the ``ExecutionStats.time_as`` accumulated while recording
+(each ``stats.time_as`` increment in the VM maps to exactly one event), as
+integer attoseconds, so the equality is exact.  Timestamps are the
+simulated clock *before* the event's cost is charged.
 
 Kernel/library events carry the provenance chain stamped on the
 instruction, the concrete argument shapes, the symbolic shape bindings in
@@ -45,10 +46,11 @@ class TraceEvent:
 
     kind: str
     name: str
-    #: Simulated clock when the event began (seconds).
-    ts_s: float
-    #: Simulated duration charged by this event (seconds; 0.0 for instants).
-    dur_s: float
+    #: Simulated clock when the event began (attoseconds).
+    ts_as: int
+    #: Simulated duration charged by this event (attoseconds; 0 for
+    #: instants).
+    dur_as: int
     #: Source-op provenance chain of the originating instruction.
     prov: Tuple[str, ...] = ()
     #: Kind-specific payload: shapes, symbolic bindings, flops/bytes,
@@ -57,6 +59,19 @@ class TraceEvent:
     #: NumPy copies of kernel outputs (only when ``capture_outputs``);
     #: kept out of ``args`` so exports stay JSON-serializable.
     outputs: Optional[list] = None
+
+    # The runtime is imported lazily: core loads this module through
+    # ``repro.obs`` before the runtime (see the package docstring).
+
+    @property
+    def ts_s(self) -> float:
+        from ..runtime.profiler import to_s
+        return to_s(self.ts_as)
+
+    @property
+    def dur_s(self) -> float:
+        from ..runtime.profiler import to_s
+        return to_s(self.dur_as)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form (outputs intentionally omitted)."""
@@ -91,21 +106,22 @@ class TraceRecorder:
         self,
         kind: str,
         name: str,
-        ts_s: float,
-        dur_s: float,
+        ts_as: int,
+        dur_as: int,
         prov: Tuple[str, ...] = (),
         outputs: Optional[list] = None,
         **args: Any,
     ) -> TraceEvent:
-        event = TraceEvent(kind, name, ts_s, dur_s, prov, args, outputs)
+        event = TraceEvent(kind, name, ts_as, dur_as, prov, args, outputs)
         self.events.append(event)
         return event
 
     # -- convenience views ------------------------------------------------------
 
-    def total_time_s(self) -> float:
-        """Sum of all event durations (equals the traced ``time_s`` delta)."""
-        return sum(event.dur_s for event in self.events)
+    def total_time_as(self) -> int:
+        """Sum of all event durations (equals the traced ``time_as``
+        delta exactly)."""
+        return sum(event.dur_as for event in self.events)
 
     def kernel_events(self) -> List[TraceEvent]:
         """Just the compute events (kernel + library + builtin)."""

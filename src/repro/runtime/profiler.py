@@ -13,19 +13,40 @@ Two allocation modes mirror §5.2's memory study:
   :class:`RuntimePool` that recycles *exact-size* free blocks, so every
   new dynamic shape triggers a fresh allocation (the unpredictable growth
   the paper describes).
+
+Simulated time is an integer count of attoseconds (:data:`AS_PER_S` per
+second).  Every charge is rounded once, by :func:`to_as`, where it is
+priced; from there on clocks only add, subtract and take maxima of
+integers, so a sum never depends on the order of its terms.  Reports
+convert back with :func:`to_s`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
+
+#: Attoseconds per second: the unit of every simulated clock.
+AS_PER_S = 10**18
+
+
+def to_as(seconds: float) -> int:
+    """``seconds`` as integer attoseconds, rounded to the nearest: the one
+    conversion into the simulated clock."""
+    return round(seconds * AS_PER_S)
+
+
+def to_s(attoseconds: int) -> float:
+    """Integer attoseconds as float seconds (for reports)."""
+    return attoseconds / AS_PER_S
 
 
 @dataclass
 class ExecutionStats:
-    """Accumulated over one or more VM invocations."""
+    """Accumulated over one or more VM invocations.  Times are integer
+    attoseconds (``*_as``); the ``*_s`` properties read them in seconds."""
 
-    time_s: float = 0.0
+    time_as: int = 0
     kernel_launches: int = 0
     lib_calls: int = 0
     builtin_calls: int = 0
@@ -37,11 +58,27 @@ class ExecutionStats:
     escaping_bytes_total: int = 0
     current_bytes: int = 0
     peak_bytes: int = 0
-    kernel_time_s: float = 0.0
-    launch_overhead_s: float = 0.0
+    kernel_time_as: int = 0
+    launch_overhead_as: int = 0
     #: Interconnect time charged by collective builtins (``ccl.*``); part
-    #: of ``time_s``, broken out so benches can split compute vs comm.
-    comm_time_s: float = 0.0
+    #: of ``time_as``, broken out so benches can split compute vs comm.
+    comm_time_as: int = 0
+
+    @property
+    def time_s(self) -> float:
+        return to_s(self.time_as)
+
+    @property
+    def kernel_time_s(self) -> float:
+        return to_s(self.kernel_time_as)
+
+    @property
+    def launch_overhead_s(self) -> float:
+        return to_s(self.launch_overhead_as)
+
+    @property
+    def comm_time_s(self) -> float:
+        return to_s(self.comm_time_as)
 
     def record_alloc(self, size: int, escaping: bool = False) -> None:
         self.allocations += 1
@@ -79,27 +116,11 @@ class ExecutionStats:
         a rate, so the delta carries the absolute peak observed so far
         (merging deltas therefore reproduces the end-to-end peak).
         """
-        return ExecutionStats(
-            time_s=self.time_s - since.time_s,
-            kernel_launches=self.kernel_launches - since.kernel_launches,
-            lib_calls=self.lib_calls - since.lib_calls,
-            builtin_calls=self.builtin_calls - since.builtin_calls,
-            graph_captures=self.graph_captures - since.graph_captures,
-            graph_replays=self.graph_replays - since.graph_replays,
-            replayed_kernels=self.replayed_kernels - since.replayed_kernels,
-            allocations=self.allocations - since.allocations,
-            allocated_bytes_total=(
-                self.allocated_bytes_total - since.allocated_bytes_total
-            ),
-            escaping_bytes_total=(
-                self.escaping_bytes_total - since.escaping_bytes_total
-            ),
-            current_bytes=self.current_bytes - since.current_bytes,
-            peak_bytes=self.peak_bytes,
-            kernel_time_s=self.kernel_time_s - since.kernel_time_s,
-            launch_overhead_s=self.launch_overhead_s - since.launch_overhead_s,
-            comm_time_s=self.comm_time_s - since.comm_time_s,
-        )
+        out = ExecutionStats(**{
+            name: getattr(self, name) - getattr(since, name)
+            for name in _FIELDS})
+        out.peak_bytes = self.peak_bytes
+        return out
 
     @classmethod
     def merge_serial(cls, parts: "list[ExecutionStats]") -> "ExecutionStats":
@@ -127,42 +148,17 @@ class ExecutionStats:
         profiler uses.  Returns a fresh snapshot."""
         if not parts:
             raise ValueError("merge_parallel needs at least one part")
-        return cls(
-            time_s=max(s.time_s for s in parts),
-            kernel_launches=sum(s.kernel_launches for s in parts),
-            lib_calls=sum(s.lib_calls for s in parts),
-            builtin_calls=sum(s.builtin_calls for s in parts),
-            graph_captures=sum(s.graph_captures for s in parts),
-            graph_replays=sum(s.graph_replays for s in parts),
-            replayed_kernels=sum(s.replayed_kernels for s in parts),
-            allocations=sum(s.allocations for s in parts),
-            allocated_bytes_total=sum(
-                s.allocated_bytes_total for s in parts
-            ),
-            escaping_bytes_total=sum(s.escaping_bytes_total for s in parts),
-            current_bytes=sum(s.current_bytes for s in parts),
-            peak_bytes=max(s.peak_bytes for s in parts),
-            kernel_time_s=max(s.kernel_time_s for s in parts),
-            launch_overhead_s=max(s.launch_overhead_s for s in parts),
-            comm_time_s=max(s.comm_time_s for s in parts),
-        )
+        out = cls(**{name: sum(getattr(s, name) for s in parts)
+                     for name in _FIELDS})
+        for name in _WALL_FIELDS:
+            setattr(out, name, max(getattr(s, name) for s in parts))
+        return out
 
     def merge(self, other: "ExecutionStats") -> None:
-        self.time_s += other.time_s
-        self.kernel_launches += other.kernel_launches
-        self.lib_calls += other.lib_calls
-        self.builtin_calls += other.builtin_calls
-        self.graph_captures += other.graph_captures
-        self.graph_replays += other.graph_replays
-        self.replayed_kernels += other.replayed_kernels
-        self.allocations += other.allocations
-        self.allocated_bytes_total += other.allocated_bytes_total
-        self.escaping_bytes_total += other.escaping_bytes_total
-        self.current_bytes += other.current_bytes
-        self.peak_bytes = max(self.peak_bytes, other.peak_bytes)
-        self.kernel_time_s += other.kernel_time_s
-        self.launch_overhead_s += other.launch_overhead_s
-        self.comm_time_s += other.comm_time_s
+        peak = max(self.peak_bytes, other.peak_bytes)
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.peak_bytes = peak
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -179,6 +175,12 @@ class ExecutionStats:
             "peak_MiB": self.peak_bytes / (1 << 20),
             "comm_time_s": self.comm_time_s,
         }
+
+
+_FIELDS = tuple(f.name for f in fields(ExecutionStats))
+#: Fields :meth:`ExecutionStats.merge_parallel` takes the max of.
+_WALL_FIELDS = ("time_as", "kernel_time_as", "launch_overhead_as",
+                "comm_time_as", "peak_bytes")
 
 
 class RuntimePool:

@@ -21,18 +21,16 @@ feed the Table 2 memory numbers.
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .. import dtypes, sym, tir
-from ..obs.trace import TraceRecorder
 from .device import Device
 from .library import REGISTRY, LibraryRegistry
 from .ndarray import NDArray, ShapeTuple, Storage
-from .profiler import ExecutionStats, RuntimePool
+from .profiler import ExecutionStats, RuntimePool, to_as, to_s
 
 # A shape dimension spec: ("const", value) or ("slot", heap index).
 DimSpec = Tuple[str, int]
@@ -268,38 +266,16 @@ def ccl_combine(kind: str, chunks: List[np.ndarray], rank: int,
 # -- replay plans -------------------------------------------------------------------
 #
 # An abstract call's accounting is decided by its signature alone, so the VM
-# records, per signature, the flat sequence of effects interpretation produced
-# and replays it on every later call (DESIGN.md §16).  Each kind of effect has
-# one *applier* method on the VM that appends the effect to the active
-# recorder and changes ``stats`` / ``pool`` / ``_storage_cache``; the
-# interpreter charges only through the appliers, and a replay calls the same
-# appliers in recorded order.  A plan's ``ops`` is an int stream — an op code
-# followed by its operands — and ``times`` holds the float term of every op
-# that carries one, in the order the interpreter added it.
+# records, per signature, what interpretation charged and replays it on every
+# later call (DESIGN.md §16).  Clock terms and counters are integers, so a
+# plan keeps their per-call totals.  Only pool and storage effects depend on
+# live state (a reused block or an unchanged storage costs nothing), so a
+# plan keeps those in order as ``(op, operands)``: each op is one *applier*
+# method on the VM that appends the effect to the active recorder and
+# changes ``stats`` / ``pool`` / ``_storage_cache``, and a replay calls the
+# same appliers in recorded order.
 
-_LIB = 1          # op codes 0-3 are one kernel each; this flag: a library call
-_LAUNCHED = 2     # kernel flag: launched on its own (else replayed in a graph)
-_OP_CLOCK = 4     # a bare clock term
-_OP_WIRE = 5      # interconnect time
-_OP_GRAPH = 6     # a graph launch
-_OP_BUILTIN = 7   # a builtin call
-_OP_ALLOC = 8     # size, flags: pool allocation
-_OP_RELEASE = 9   # size: pool release
-_OP_STORAGE = 10  # index into ``storages``: planned-storage check
-_ESCAPES = 1      # _OP_ALLOC flag: the block holds a returned value
-_CHARGED = 2      # _OP_ALLOC flag: a fresh block costs device.alloc_overhead
-
-
-class _PlanRecorder:
-    """The effects of one interpreted call, in order (written by the
-    appliers)."""
-
-    __slots__ = ("ops", "times", "storages")
-
-    def __init__(self):
-        self.ops = array("q")
-        self.times = array("d")
-        self.storages: List[Tuple] = []
+_OP_ALLOC, _OP_RELEASE, _OP_STORAGE = range(3)
 
 
 class _TensorSpec(NamedTuple):
@@ -317,9 +293,9 @@ class _Unrecordable(Exception):
 class _Plan(NamedTuple):
     #: The function the plan was recorded from (an executable is mutable).
     func: "VMFunction"
-    ops: array
-    times: array
-    storages: Tuple[Tuple, ...]
+    #: Everything the call charged besides its pool and storage effects.
+    totals: ExecutionStats
+    effects: Tuple[Tuple[int, Tuple], ...]
     result: object
 
 
@@ -334,8 +310,8 @@ class ReplayPlans:
         self._interned: Dict[Tuple, Tuple] = {}
 
     def intern(self, value: Tuple) -> Tuple:
-        """One object per distinct argument description, storage op or
-        result tensor: plans repeat the same few."""
+        """One object per distinct argument description, effect or result
+        tensor: plans repeat the same few."""
         return self._interned.setdefault(value, value)
 
     def __len__(self) -> int:
@@ -406,9 +382,9 @@ class VirtualMachine:
         self.enable_cuda_graph = enable_cuda_graph
         self.registry = registry
         self.stats = ExecutionStats()
-        #: Optional trace hook (see :mod:`repro.obs.trace`).  ``None`` —
+        #: Optional :class:`repro.obs.trace.TraceRecorder`.  ``None`` —
         #: the default — keeps execution bit-identical to an untraced run.
-        self.tracer: Optional[TraceRecorder] = None
+        self.tracer = None
         #: Optional mesh placement (:class:`repro.dist.mesh.MeshContext`):
         #: rank/world/channel for ``ccl.*`` builtins.  ``None`` — the
         #: default — selects degenerate single-device replica semantics.
@@ -423,7 +399,10 @@ class VirtualMachine:
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
         self._plans: Optional[ReplayPlans] = None
-        self._recorder: Optional[_PlanRecorder] = None
+        #: The effects of the call being recorded (None: not recording).
+        self._recorder: Optional[List[Tuple[int, Tuple]]] = None
+        #: Every ``alloc_overhead`` charged so far (kept out of plan totals).
+        self._alloc_as = 0
         self._plan_hits = 0
         self._plan_misses = 0
         self._interpreted_calls = 0
@@ -503,7 +482,8 @@ class VirtualMachine:
         nested call (the interpreter drops the recorder), or returns a
         value :meth:`_result_template` cannot describe.
         """
-        self._recorder = _PlanRecorder()
+        before, alloc_before = self.stats.copy(), self._alloc_as
+        self._recorder = []
         try:
             result = self._call(func_name, list(args))
             recorder = self._recorder
@@ -514,9 +494,14 @@ class VirtualMachine:
                 template = self._result_template(table, result, args)
             except _Unrecordable:
                 return result
+            charged = self.stats.delta(before)
+            totals = replace(
+                charged,
+                time_as=charged.time_as - (self._alloc_as - alloc_before),
+                allocations=0, allocated_bytes_total=0,
+                escaping_bytes_total=0, current_bytes=0, peak_bytes=0)
             table.plans[key] = _Plan(
-                func, recorder.ops, recorder.times,
-                tuple(map(table.intern, recorder.storages)), template)
+                func, totals, tuple(map(table.intern, recorder)), template)
         return result
 
     def _result_template(self, table: ReplayPlans, result, args):
@@ -564,31 +549,13 @@ class VirtualMachine:
         return template
 
     def _apply_plan(self, plan: _Plan):
-        """Replay ``plan``: call the appliers with the recorded effects in
-        recorded order, so a replayed call *is* the interpreted one — down
-        to the order of every float addition, and with pool reuse and
-        storage resizes decided against live state."""
-        kernel = self._kernel
-        time = iter(plan.times).__next__
-        words = iter(plan.ops)
-        for op in words:
-            if op < _OP_CLOCK:
-                kernel(op, time())
-            elif op == _OP_CLOCK:
-                self._charge(time())
-            elif op == _OP_WIRE:
-                self._wire(time())
-            elif op == _OP_GRAPH:
-                self._graph_launch(time())
-            elif op == _OP_BUILTIN:
-                self._builtin()
-            elif op == _OP_ALLOC:
-                size, flags = next(words), next(words)
-                self._pool_allocate(size, flags & _ESCAPES, flags & _CHARGED)
-            elif op == _OP_RELEASE:
-                self._pool_release(next(words))
-            else:
-                self._storage(*plan.storages[next(words)])
+        """Replay ``plan``: add its totals, then call the appliers with the
+        recorded pool and storage effects in recorded order, so reuse and
+        resizes are decided against live state as the interpreter would."""
+        self.stats.merge(plan.totals)
+        appliers = self._pool_allocate, self._pool_release, self._storage
+        for op, operands in plan.effects:
+            appliers[op](*operands)
         return self._instantiate(plan.result)
 
     # -- function invocation ------------------------------------------------------
@@ -612,11 +579,15 @@ class VirtualMachine:
             if key in self._graph_cache:
                 return self._run_replayed(func, args)
             # First run with this shape signature: capture.
-            capture_s = 10 * self.device.kernel_launch_overhead
+            # A capture happens once per key, so it is never what a
+            # replay plan holds: the recorder is dropped.
+            self._recorder = None
+            capture = to_as(10 * self.device.kernel_launch_overhead)
             if self.tracer is not None:
                 self.tracer.emit("graph_capture", func_name,
-                                 self.stats.time_s, capture_s)
-            self._capture(capture_s)
+                                 self.stats.time_as, capture)
+            self.stats.graph_captures += 1
+            self.stats.time_as += capture
             result = self._run_body(func, args)
             self._graph_cache[key] = 1
             return result
@@ -629,11 +600,13 @@ class VirtualMachine:
             result = self._run_body(func, args)
         finally:
             self._replay_depth -= 1
+        launch = to_as(self.device.graph_launch_overhead)
         if self.tracer is not None:
-            self.tracer.emit("graph_replay", func.name, self.stats.time_s,
-                             self.device.graph_launch_overhead,
+            self.tracer.emit("graph_replay", func.name, self.stats.time_as,
+                             launch,
                              kernels=self.stats.replayed_kernels - replayed)
-        self._graph_launch(self.device.graph_launch_overhead)
+        self.stats.graph_replays += 1
+        self.stats.time_as += launch
         return result
 
     @staticmethod
@@ -717,8 +690,8 @@ class VirtualMachine:
             size = arr.size_bytes()
             self._pool_release(size)
             if self.tracer is not None:
-                self.tracer.emit("free", "pool_tensor", self.stats.time_s,
-                                 0.0, instr.prov, size=size)
+                self.tracer.emit("free", "pool_tensor", self.stats.time_as,
+                                 0, instr.prov, size=size)
         frame.regs[instr.reg] = None
 
     def _exec_call_func(self, func, instr: CallFunc, frame: _Frame) -> None:
@@ -810,78 +783,26 @@ class VirtualMachine:
             return
         arr = NDArray.empty(shape, instr.dtype, self.concrete)
         size = arr.size_bytes()
-        ts = self.stats.time_s
+        ts = self.stats.time_as
         reused = self._pool_allocate(size, instr.escapes, charged=True)
         if self.tracer is not None:
             self.tracer.emit(
-                "alloc", "pool_tensor", ts,
-                0.0 if reused else self.device.alloc_overhead, instr.prov,
+                "alloc", "pool_tensor", ts, self.stats.time_as - ts, instr.prov,
                 size=size, escapes=instr.escapes, reused=reused,
             )
         frame.regs[instr.dst] = arr
 
-    # -- appliers: the only code that changes stats, pool and storages ---------------
+    # -- appliers: the only code that changes pool and storages -------------------
     #
     # Each records its effect when a recorder is attached; _apply_plan calls
     # them with the recorded operands (see "replay plans" above).
 
-    def _kernel(self, flags: int, time: float) -> None:
-        """One kernel of ``time`` seconds; ``flags``: ``_LIB`` for a
-        library call, ``_LAUNCHED`` unless it replays inside a graph."""
-        rec = self._recorder
-        if rec is not None:
-            rec.ops.append(flags)
-            rec.times.append(time)
-        stats = self.stats
-        stats.time_s += time
-        stats.kernel_time_s += time
-        if flags & _LAUNCHED:
-            stats.launch_overhead_s += self.device.kernel_launch_overhead
-        else:
-            stats.replayed_kernels += 1
-        if flags & _LIB:
-            stats.lib_calls += 1
-        else:
-            stats.kernel_launches += 1
-
-    def _charge(self, seconds: float) -> None:
-        """A bare clock term (no kernel, no wire)."""
-        rec = self._recorder
-        if rec is not None:
-            rec.ops.append(_OP_CLOCK)
-            rec.times.append(seconds)
-        self.stats.time_s += seconds
-
-    def _wire(self, seconds: float) -> None:
-        """Interconnect time: on the clock and in ``comm_time_s``."""
-        rec = self._recorder
-        if rec is not None:
-            rec.ops.append(_OP_WIRE)
-            rec.times.append(seconds)
-        self.stats.time_s += seconds
-        self.stats.comm_time_s += seconds
-
-    def _graph_launch(self, seconds: float) -> None:
-        """One launch of a captured graph."""
-        rec = self._recorder
-        if rec is not None:
-            rec.ops.append(_OP_GRAPH)
-            rec.times.append(seconds)
-        self.stats.graph_replays += 1
-        self.stats.time_s += seconds
-
-    def _builtin(self) -> None:
-        """One builtin call (its clock terms are effects of their own)."""
-        if self._recorder is not None:
-            self._recorder.ops.append(_OP_BUILTIN)
-        self.stats.builtin_calls += 1
-
-    def _capture(self, seconds: float) -> None:
-        """A graph capture.  It happens once per capture key, so it is never
-        what a replay plan holds: the recorder is dropped."""
-        self._recorder = None
-        self.stats.graph_captures += 1
-        self.stats.time_s += seconds
+    def _alloc_charge(self) -> None:
+        """A fresh block's ``alloc_overhead``: decided live, so it stays
+        out of a plan's totals."""
+        charge = to_as(self.device.alloc_overhead)
+        self.stats.time_as += charge
+        self._alloc_as += charge
 
     def _pool_allocate(self, size: int, escapes: bool = False,
                        charged: bool = False) -> bool:
@@ -889,40 +810,36 @@ class VirtualMachine:
         A ``charged`` allocation (a tensor's; a builtin's result is not)
         pays ``alloc_overhead`` for a fresh block."""
         if self._recorder is not None:
-            self._recorder.ops.extend((
-                _OP_ALLOC, size,
-                (_ESCAPES if escapes else 0) | (_CHARGED if charged else 0)))
+            self._recorder.append((_OP_ALLOC, (size, escapes, charged)))
         reused = self.pool.allocate(size, escapes)
         if charged and not reused:
-            self.stats.time_s += self.device.alloc_overhead
+            self._alloc_charge()
         return reused
 
     def _pool_release(self, size: int) -> None:
         if self._recorder is not None:
-            self._recorder.ops.extend((_OP_RELEASE, size))
+            self._recorder.append((_OP_RELEASE, (size,)))
         self.pool.release(size)
 
     def _storage(self, key: Tuple[str, int], size: int, escapes: bool,
                  prov: Tuple[str, ...] = ()) -> Storage:
         """The planned storage ``key``, allocated or resized on demand."""
-        rec = self._recorder
-        if rec is not None:
-            rec.ops.extend((_OP_STORAGE, len(rec.storages)))
-            rec.storages.append((key, size, escapes))
+        if self._recorder is not None:
+            self._recorder.append((_OP_STORAGE, (key, size, escapes)))
         cached = self._storage_cache.get(key)
         if cached is not None and cached.size == size:
             return cached
         if cached is not None:
             self.stats.record_free(cached.size)
             if self.tracer is not None:
-                self.tracer.emit("free", "storage", self.stats.time_s, 0.0,
+                self.tracer.emit("free", "storage", self.stats.time_as, 0,
                                  prov, size=cached.size, resized=True)
         self.stats.record_alloc(size, escapes)
+        ts = self.stats.time_as
+        self._alloc_charge()
         if self.tracer is not None:
-            self.tracer.emit("alloc", "storage", self.stats.time_s,
-                             self.device.alloc_overhead, prov,
-                             size=size, escapes=escapes)
-        self.stats.time_s += self.device.alloc_overhead
+            self.tracer.emit("alloc", "storage", ts, self.stats.time_as - ts,
+                             prov, size=size, escapes=escapes)
         storage = Storage(size, self.concrete)
         self._storage_cache[key] = storage
         return storage
@@ -975,25 +892,36 @@ class VirtualMachine:
     def _launch(self, lib: bool, name: str, flops, nbytes, efficiency: float,
                 prov, arrays: List[NDArray], bindings=None):
         """Time, trace and charge one tensor-program (or, ``lib``, library)
-        kernel; inside a replayed graph it pays the per-kernel graph
-        overhead instead of a launch.  Returns the trace event, if any."""
+        kernel: its roofline plus a launch overhead or, inside a replayed
+        graph, the per-kernel graph overhead.  Returns the trace event, if
+        any."""
+        device, stats = self.device, self.stats
         launched = self._replay_depth == 0
-        time = self.device.kernel_time(flops, nbytes, efficiency, launched)
-        if not launched:
-            time += self.device.graph_kernel_overhead
+        roofline = device.kernel_roofline(flops, nbytes, efficiency)
+        overhead = to_as(device.kernel_launch_overhead if launched
+                         else device.graph_kernel_overhead)
+        time = to_as(roofline) + overhead
         event = None
         if self.tracer is not None:
-            roofline = self.device.kernel_roofline(flops, nbytes, efficiency)
             extra = {} if lib else {
                 "sym": {var.name: int(v) for var, v in bindings.items()}}
             event = self.tracer.emit(
-                "library" if lib else "kernel", name, self.stats.time_s,
+                "library" if lib else "kernel", name, stats.time_as,
                 time, prov, flops=flops, bytes=nbytes, efficiency=efficiency,
-                roofline_s=roofline, launch_s=time - roofline,
+                roofline_s=roofline, launch_s=to_s(overhead),
                 replayed=not launched,
                 shapes=[list(a.shape) for a in arrays], **extra,
             )
-        self._kernel((_LIB if lib else 0) | (_LAUNCHED if launched else 0), time)
+        stats.time_as += time
+        stats.kernel_time_as += time
+        if launched:
+            stats.launch_overhead_as += overhead
+        else:
+            stats.replayed_kernels += 1
+        if lib:
+            stats.lib_calls += 1
+        else:
+            stats.kernel_launches += 1
         return event
 
     def _efficiency(self, func: tir.PrimFunc, outputs: List[NDArray]) -> float:
@@ -1041,8 +969,8 @@ class VirtualMachine:
 
     def _exec_builtin(self, func, instr: CallBuiltin, frame: _Frame) -> None:
         args = [frame.regs[r] for r in instr.args]
-        self._builtin()
-        ts = self.stats.time_s
+        self.stats.builtin_calls += 1
+        ts = self.stats.time_as
         if instr.name == "vm.builtin.shape_of":
             arr = args[0]
             result = ShapeTuple(arr.shape)
@@ -1059,12 +987,12 @@ class VirtualMachine:
         if self.tracer is not None:
             # Builtins charge the clock internally; the delta is the cost.
             self.tracer.emit("builtin", instr.name, ts,
-                             self.stats.time_s - ts, instr.prov)
+                             self.stats.time_as - ts, instr.prov)
         if instr.dst is not None:
             frame.regs[instr.dst] = result
 
     def _builtin_unique(self, arr: NDArray) -> NDArray:
-        self._charge(self.device.kernel_launch_overhead * 2)
+        self.stats.time_as += to_as(self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.unique(arr.numpy())
             self._pool_allocate(out.nbytes)
@@ -1084,7 +1012,7 @@ class VirtualMachine:
         :class:`~repro.dist.mesh.CollectiveChannel`; without one the VM
         acts as one rank of a mesh whose peers all hold this replica.
         The modeled interconnect (when attached) charges ring time into
-        both ``time_s`` and ``comm_time_s``.
+        both ``time_as`` and ``comm_time_as``.
         """
         if kind not in ("all_reduce", "all_gather", "reduce_scatter",
                         "broadcast"):
@@ -1106,12 +1034,16 @@ class VirtualMachine:
 
         # One host-side enqueue, like every builtin; the wire time is the
         # interconnect's ring cost over the full logical payload.
-        self._charge(self.device.kernel_launch_overhead)
+        stats = self.stats
+        stats.time_as += to_as(self.device.kernel_launch_overhead)
         if self.interconnect is not None and world > 1:
             full_bytes = arr.size_bytes()
             if kind == "all_gather":
                 full_bytes *= world
-            self._wire(getattr(self.interconnect, f"{kind}_s")(world, full_bytes))
+            wire = to_as(
+                getattr(self.interconnect, f"{kind}_s")(world, full_bytes))
+            stats.time_as += wire
+            stats.comm_time_as += wire
 
         if not self.concrete:
             shape = list(arr.shape)
@@ -1144,7 +1076,7 @@ class VirtualMachine:
         return NDArray.from_numpy(out)
 
     def _builtin_nonzero(self, arr: NDArray) -> NDArray:
-        self._charge(self.device.kernel_launch_overhead * 2)
+        self.stats.time_as += to_as(self.device.kernel_launch_overhead * 2)
         if self.concrete:
             out = np.flatnonzero(arr.numpy()).astype(np.int64)
             self._pool_allocate(out.nbytes)

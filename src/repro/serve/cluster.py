@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..models.llama import LlamaConfig
 from ..runtime.device import Device
-from ..runtime.profiler import ExecutionStats
+from ..runtime.profiler import ExecutionStats, to_as
 from .engine import EngineConfig, ServeReport, ServingEngine
 from .log import Route, RunStart, merge, of_type, total_counters
 from .metrics import summarize
@@ -265,18 +265,17 @@ class ClusterEngine:
 
     def _route_and_drain(self, requests: Sequence[Request]) -> List[Route]:
         """The event loop; returns the routing decisions in order."""
-        unrouted = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+        unrouted = sorted(((to_as(r.arrival_s), r) for r in requests),
+                          key=lambda a: (a[0], a[1].req_id))
         routes: List[Route] = []
         engines = self.engines
         while unrouted or any(e.has_work for e in engines):
             busy = [i for i, e in enumerate(engines) if e.has_work]
             t_floor = min(engines[i].clock for i in busy) if busy else None
-            if unrouted and (
-                t_floor is None or unrouted[0].arrival_s <= t_floor
-            ):
+            if unrouted and (t_floor is None or unrouted[0][0] <= t_floor):
                 # Every busy replica has reached this arrival's time:
                 # the router may observe their state and commit.
-                r = unrouted.pop(0)
+                t, r = unrouted.pop(0)
                 idx = self.policy.choose(r, self._views)
                 if not 0 <= idx < len(engines):
                     raise ValueError(
@@ -284,7 +283,7 @@ class ClusterEngine:
                         f"{r.req_id} to replica {idx} of {len(engines)}"
                     )
                 engines[idx].submit([r])
-                routes.append(Route(r.arrival_s, r.req_id, idx))
+                routes.append(Route(t, r.req_id, idx))
                 continue
             # Advance the lagging replica (lowest clock, ties by index).
             idx = min(busy, key=lambda i: (engines[i].clock, i))

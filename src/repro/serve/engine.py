@@ -12,7 +12,9 @@ against the device's host-link bandwidth.
 Iteration timing uses ``ExecutionStats.copy()``/``delta()`` snapshots —
 never ``reset_stats()`` — so the shared VM's pool keeps recycling across
 iterations exactly as an uninterrupted run would, and the sum of
-per-iteration deltas equals the end-to-end totals.
+per-iteration deltas equals the end-to-end totals.  The engine clock
+is integer attoseconds like the VMs' (arrivals are converted once, at
+submit), so an iteration lasts exactly its VM time plus its swap time.
 
 Prefill chunks run through the ``prefill_paged`` entry: new K/V slices
 are written straight into the shared page pool (no contiguous-cache
@@ -44,7 +46,7 @@ from ..models.llama import LlamaConfig
 from ..obs.trace import TraceRecorder
 from ..runtime import NDArray, PlanCacheInfo, VirtualMachine
 from ..runtime.device import Device
-from ..runtime.profiler import ExecutionStats
+from ..runtime.profiler import ExecutionStats, to_as, to_s
 from .kv_cache import CacheError, PagedKVCache
 from .log import (
     Arrival,
@@ -108,9 +110,10 @@ class _RunState:
     #: Submitted requests in submission order (report order).
     requests: List[Request] = field(default_factory=list)
     states: Dict[int, RequestState] = field(default_factory=dict)
-    #: Submitted but not yet admitted, sorted by (arrival_s, req_id).
-    pending: List[Request] = field(default_factory=list)
-    clock: float = 0.0
+    #: Submitted but not yet admitted: ``(arrival, req_id)``, sorted.
+    pending: List[Tuple[int, int]] = field(default_factory=list)
+    #: Simulated attoseconds.
+    clock: int = 0
 
 
 #: Cap on a KV pool sized from the device's VRAM.
@@ -343,12 +346,14 @@ class ServingEngine:
             )
         if run is None:
             run = self._run = self._begin_run()
-        run.log.extend(Arrival(r.arrival_s, r.req_id, r.kind, r.prompt_len,
-                               r.output_len) for r in requests)
+        arrivals = [to_as(r.arrival_s) for r in requests]
+        run.log.extend(Arrival(t, r.req_id, r.kind, r.prompt_len,
+                               r.output_len)
+                       for t, r in zip(arrivals, requests))
         run.states.update(states)
         run.requests.extend(requests)
-        run.pending.extend(requests)
-        run.pending.sort(key=lambda r: (r.arrival_s, r.req_id))
+        run.pending.extend(zip(arrivals, (r.req_id for r in requests)))
+        run.pending.sort()
 
     def _begin_run(self) -> _RunState:
         econf = self.econfig
@@ -398,9 +403,10 @@ class ServingEngine:
         )
 
     @property
-    def clock(self) -> float:
-        """The engine's analytical clock (0.0 outside a run)."""
-        return self._run.clock if self._run is not None else 0.0
+    def clock(self) -> int:
+        """The engine's analytical clock in attoseconds (0 outside a
+        run)."""
+        return self._run.clock if self._run is not None else 0
 
     def plan_cache_info(self) -> PlanCacheInfo:
         """Replay-plan counters summed over the engine's VMs.  Host-side
@@ -443,14 +449,13 @@ class ServingEngine:
         econf = self.econfig
         sched = run.sched
         # Admit arrivals up to the current simulated time.
-        while run.pending and run.pending[0].arrival_s <= run.clock:
-            sched.add_request(run.states[run.pending[0].req_id])
-            run.pending.pop(0)
+        while run.pending and run.pending[0][0] <= run.clock:
+            sched.add_request(run.states[run.pending.pop(0)[1]])
 
         it = sched.schedule()
         if it.empty:
             if run.pending:
-                run.clock = max(run.clock, run.pending[0].arrival_s)
+                run.clock = max(run.clock, run.pending[0][0])
                 return None
             if sched.has_unfinished():
                 raise CacheError(
@@ -463,19 +468,19 @@ class ServingEngine:
         before = [vm.stats.copy() for vm in self._vms]
 
         # Swap traffic (blocks to/from host) on the analytic host link.
-        swap_s = 0.0
+        swap = 0
         for _, tokens, mode in it.preempted:
             if mode == "swap" and tokens:
-                swap_s += tokens * run.token_bytes / _HOST_LINK_BANDWIDTH
+                swap += to_as(tokens * run.token_bytes / _HOST_LINK_BANDWIDTH)
         for _, tokens in it.swapped_in:
             if tokens:
-                swap_s += tokens * run.token_bytes / _HOST_LINK_BANDWIDTH
+                swap += to_as(tokens * run.token_bytes / _HOST_LINK_BANDWIDTH)
 
         self._execute(it)
 
         deltas = [vm.stats.delta(b) for vm, b in zip(self._vms, before)]
-        run.clock = (t_begin + ExecutionStats.merge_serial(deltas).time_s
-                     + swap_s)
+        run.clock = (t_begin + ExecutionStats.merge_serial(deltas).time_as
+                     + swap)
 
         parts, finished = self._advance(it, run)
         spec = self.spec
@@ -491,11 +496,11 @@ class ServingEngine:
                 sched.spec_k_cap = run.ctl_cap
                 run.ctl_proposed = run.ctl_accepted = 0
         run.log.append(self._observe(
-            it, run, t_begin, swap_s, deltas, before, parts, finished))
+            it, run, t_begin, swap, deltas, before, parts, finished))
         return run.log[-1]
 
-    def _observe(self, it: Iteration, run: _RunState, t_begin: float,
-                 swap_s: float, deltas: List[ExecutionStats],
+    def _observe(self, it: Iteration, run: _RunState, t_begin: int,
+                 swap: int, deltas: List[ExecutionStats],
                  before: List[ExecutionStats], parts: List[Participation],
                  finished: List[Finish]) -> IterationEvent:
         """The iteration's event: its work and bookkeeping, the scheduler
@@ -511,12 +516,12 @@ class ServingEngine:
         last, run.counters = run.counters, counters
         kernels = ()
         if run.saved_tracers is not None:
-            kernels = tuple((b.time_s, tuple(vm.tracer.events))
+            kernels = tuple((b.time_as, tuple(vm.tracer.events))
                             for vm, b in zip(self._vms, before))
             for vm in self._vms:
                 vm.tracer.clear()
         return IterationEvent(
-            t_begin, run.clock, swap_s, tuple(deltas), tuple(parts),
+            t_begin, run.clock, swap, tuple(deltas), tuple(parts),
             tuple(s.seq_id for s in it.admitted),
             tuple((s.seq_id, n) for s, n in it.swapped_in),
             tuple((s.seq_id, n, mode) for s, n, mode in it.preempted),
@@ -527,7 +532,7 @@ class ServingEngine:
                    kv.num_reclaimable_blocks, kv.fragmentation(),
                    sched.unevictable_blocks),
             Counters(*map(operator.sub, counters, last)),
-            tuple((i, tuple((s.comm_time_s, s.time_s, s.current_bytes)
+            tuple((i, tuple((s.comm_time_as, s.time_as, s.current_bytes)
                             for s in vm.shard_stats))
                   for i, vm in self._meshes),
             kernels,
@@ -592,9 +597,9 @@ class ServingEngine:
         )
         summary["vm"] = total.summary()
         summary["comm_fraction"] = (
-            total.comm_time_s / total.time_s if total.time_s else 0.0
+            total.comm_time_as / total.time_as if total.time_as else 0.0
         )
-        summary["swap_time_s"] = sum(e.swap_s for e in events)
+        summary["swap_time_s"] = to_s(sum(e.swap_as for e in events))
         summary["kv_pool"] = {
             "num_blocks": self.num_blocks,
             "page_size": econf.page_size,
@@ -706,7 +711,7 @@ class ServingEngine:
         recompute-after-preemption) reconstructs the identical stream;
         only the timestamps differ.
         """
-        clock, oracle = run.clock, run.oracle
+        clock, oracle = to_s(run.clock), run.oracle
         parts: List[Participation] = []
         finished: List[Finish] = []
 

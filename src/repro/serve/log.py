@@ -18,7 +18,7 @@ import dataclasses
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from ..runtime.profiler import ExecutionStats
+from ..runtime.profiler import ExecutionStats, to_s
 
 
 class RunStart(NamedTuple):
@@ -35,13 +35,13 @@ class RunStart(NamedTuple):
     prefix_cache: bool
     #: VM tracers were attached: iteration events carry kernel events.
     capture_kernels: bool
-    t: float = 0.0
+    t: int = 0
 
 
 class Arrival(NamedTuple):
     """A request submitted to the run (``t`` is its arrival time)."""
 
-    t: float
+    t: int
     req_id: int
     kind: str
     prompt_len: int
@@ -51,7 +51,7 @@ class Arrival(NamedTuple):
 class Route(NamedTuple):
     """The cluster router sent ``req_id`` to ``replica`` at ``t``."""
 
-    t: float
+    t: int
     req_id: int
     replica: int
 
@@ -59,7 +59,7 @@ class Route(NamedTuple):
 class Teardown(NamedTuple):
     """The run ended at ``t``; ``refcount_audit`` is the pool's audit."""
 
-    t: float
+    t: int
     refcount_audit: Dict[str, Any]
 
 
@@ -128,9 +128,9 @@ class Counters(NamedTuple):
 class IterationEvent(NamedTuple):
     """Everything one executed scheduler iteration did and left behind."""
 
-    t_begin: float
-    t_end: float
-    swap_s: float = 0.0
+    t_begin: int
+    t_end: int
+    swap_as: int = 0
     #: Per-VM ``ExecutionStats`` deltas, in VM order.
     vm_deltas: Tuple[ExecutionStats, ...] = ()
     #: Stepped items, then chunked items, in scheduling order.
@@ -146,15 +146,15 @@ class IterationEvent(NamedTuple):
     batched_tokens: int = 0
     gauges: Gauges = Gauges()
     counters: Counters = Counters()
-    #: ``(vm index, ((comm_time_s, time_s, current_bytes) per rank))``
+    #: ``(vm index, ((comm_time_as, time_as, current_bytes) per rank))``
     #: for every tensor-parallel VM: cumulative per-shard stats.
-    shards: Tuple[Tuple[int, Tuple[Tuple[float, float, int], ...]], ...] = ()
+    shards: Tuple[Tuple[int, Tuple[Tuple[int, int, int], ...]], ...] = ()
     #: With kernel capture: ``(VM clock at iteration start, its trace
     #: events)`` per VM.
-    kernels: Tuple[Tuple[float, Tuple[Any, ...]], ...] = ()
+    kernels: Tuple[Tuple[int, Tuple[Any, ...]], ...] = ()
 
     @property
-    def t(self) -> float:
+    def t(self) -> int:
         return self.t_begin
 
     @property
@@ -232,14 +232,14 @@ def iteration_records(log: Iterable[Any]) -> List[Dict[str, Any]]:
         paths = [p.path for p in parts]
         out.append({
             "index": len(out),
-            "start_s": e.t_begin,
-            "dur_s": e.t_end - e.t_begin,
+            "start_s": to_s(e.t_begin),
+            "dur_s": to_s(e.t_end - e.t_begin),
             "decode_batch": paths.count("decode"),
             "prefill_tokens": sum(
                 p.units for p in parts if p.path == "prefill"),
             "num_batched_tokens": e.batched_tokens,
             "preemptions": len(e.preempted),
-            "swap_s": e.swap_s,
+            "swap_s": to_s(e.swap_as),
             "kernel_launches": e.stats.kernel_launches,
             "free_blocks": g.free,
             "reclaimable_blocks": g.reclaimable,
@@ -265,14 +265,14 @@ def trace_events(log: Iterable[Any]) -> List[Dict[str, Any]]:
     generated: Dict[int, int] = {}
     for rec, (_, e) in zip(iteration_records(log),
                            of_type(log, IterationEvent)):
-        ts, dur = e.t_begin * us, (e.t_end - e.t_begin) * us
+        ts, dur = rec["start_s"] * us, rec["dur_s"] * us
         events.append({
             "name": f"iteration[{rec['index']}]", "ph": "X", "pid": 0,
             "tid": 0, "ts": ts, "dur": dur,
             "args": {k: rec[k] for k in (
                 "decode_batch", "prefill_tokens", "preemptions")}})
         events.append({"name": "kv_used_blocks", "ph": "C", "pid": 0,
-                       "tid": 0, "ts": e.t_end * us,
+                       "tid": 0, "ts": to_s(e.t_end) * us,
                        "args": {"used": e.gauges.used}})
         for p in e.participations:
             chunked = p.path in ("prefill", "chunk")

@@ -20,6 +20,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.stats import dist
+from ..runtime.profiler import to_s
 from .log import IterationEvent, of_type
 
 
@@ -165,7 +166,7 @@ def fleet_slo(log: Iterable[Any], *, slo_ttft_s: float,
     ``(t, req_id)`` order — deterministic across routing policies."""
     monitor = SLOMonitor(slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s)
     finishes = sorted(
-        ((e.t_end, f) for _, e in of_type(log, IterationEvent)
+        ((to_s(e.t_end), f) for _, e in of_type(log, IterationEvent)
          for f in e.finished),
         key=lambda item: (item[0], item[1].seq_id))
     for i, (t, f) in enumerate(finishes):

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs.provenance import render as render_provenance
 from ..obs.spans import SpanRecorder
 from ..obs.stats import dist
+from ..runtime.profiler import to_s
 from .log import Arrival, IterationEvent, RunStart, Teardown, untag
 from .slo import SLOMonitor
 
@@ -300,7 +301,7 @@ class EngineTelemetry:
                                       slo_tpot_s=e.slo_tpot_s)
             elif kind is Teardown:
                 audits[replica] = e.refcount_audit
-                end = e.t
+                end = to_s(e.t)
         if end is not None:
             # Once the last run has ended (a fleet's replicas end at
             # different times), whatever is still open is unfinished.
@@ -325,7 +326,7 @@ class EngineTelemetry:
                    replica: Optional[int]) -> None:
         reg, spans, start = self.registry, self.spans, self.start
         lab = {} if replica is None else {"replica": replica}
-        t0, t1, g, c = e.t_begin, e.t_end, e.gauges, e.counters
+        t0, t1, g, c = to_s(e.t_begin), to_s(e.t_end), e.gauges, e.counters
         us = 1e6
         steps = [p for p in e.participations if p.path not in _CHUNKED]
         chunks = [p for p in e.participations if p.path in _CHUNKED]
@@ -363,7 +364,7 @@ class EngineTelemetry:
             count("swapins_total", "sequences restored from host",
                   len(e.swapped_in))
         stats = e.stats
-        count("swap_seconds_total", "host-link swap time", e.swap_s)
+        count("swap_seconds_total", "host-link swap time", to_s(e.swap_as))
         count("vm_seconds_total", "simulated device time", stats.time_s)
         count("kernel_launches_total", "VM kernel launches",
               stats.kernel_launches)
@@ -448,18 +449,18 @@ class EngineTelemetry:
         if spec:
             track("spec_tokens", {"proposed": proposed, "accepted": accepted})
         for vm, ranks in e.shards:
-            for rank, (comm, time_s, resident) in enumerate(ranks):
+            for rank, (comm, time, resident) in enumerate(ranks):
                 name = f"{start.vm_names[vm]}_shard{rank}"
                 track(f"{name}_comm", {
-                    "comm_time_s": comm,
-                    "comm_fraction": comm / time_s if time_s else 0.0,
+                    "comm_time_s": to_s(comm),
+                    "comm_fraction": comm / time if time else 0.0,
                 })
                 track(f"{name}_kv_pressure", {"resident_bytes": resident})
 
         # ---- lifecycle spans, then completions (SLO window + span close)
         for sid in e.admitted:
             a = self._arrivals[sid]
-            spans.admitted(sid, a.t, t0, kind=a.kind,
+            spans.admitted(sid, to_s(a.t), t0, kind=a.kind,
                            prompt_len=a.prompt_len, output_len=a.output_len)
         for sid, copied in e.swapped_in:
             spans.resumed(sid, t0, copied_tokens=copied)
@@ -498,7 +499,7 @@ class EngineTelemetry:
                 self.kernel_events.append({
                     "name": k.name, "cat": k.kind, "ph": "X",
                     "pid": PID_KERNELS, "tid": vm,
-                    "ts": (t0 + (k.ts_s - base)) * us,
+                    "ts": to_s(e.t_begin + k.ts_as - base) * us,
                     "dur": k.dur_s * us, "args": args,
                 })
 

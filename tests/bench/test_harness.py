@@ -83,7 +83,7 @@ class TestRelaxRunners:
         # The traced step reproduces the measured step exactly...
         assert pvm.stats.time_s == before
         # ...accounts for every simulated second, with full provenance...
-        assert abs(pvm.tracer.total_time_s() - pvm.stats.time_s) < 1e-9
+        assert pvm.tracer.total_time_as() == pvm.stats.time_as
         kernel_rows = [r for r in pvm.op_table().rows
                        if r["kind"] in ("kernel", "library")]
         assert kernel_rows and all(r["provenance"] for r in kernel_rows)

@@ -18,6 +18,7 @@ from repro.obs import (
 )
 from repro.runtime import TEST_DEVICE
 from repro.runtime.ndarray import NDArray
+from repro.runtime.profiler import AS_PER_S, to_as
 
 
 def _build(**flags):
@@ -46,8 +47,8 @@ class TestOpTable:
         table = _profiled().op_table()
         assert table.rows
         assert abs(sum(r["pct"] for r in table.rows) - 100.0) < 1e-6
-        assert abs(sum(r["time_s"] for r in table.rows)
-                   - table.total_time_s) < 1e-12
+        assert (sum(to_as(r["time_s"]) for r in table.rows)
+                == to_as(table.total_time_s))
 
     def test_sorted_hottest_first(self):
         rows = _profiled().op_table().rows
@@ -112,9 +113,11 @@ class TestMemoryTimeline:
 
     def test_manual_event_walk(self):
         events = [
-            TraceEvent("alloc", "storage", 0.0, 0.0, ("a@x",), {"size": 100}),
-            TraceEvent("alloc", "storage", 1.0, 0.0, ("b@y",), {"size": 50}),
-            TraceEvent("free", "storage", 2.0, 0.0, ("a@x",), {"size": 100}),
+            TraceEvent("alloc", "storage", 0, 0, ("a@x",), {"size": 100}),
+            TraceEvent("alloc", "storage", AS_PER_S, 0, ("b@y",),
+                       {"size": 50}),
+            TraceEvent("free", "storage", 2 * AS_PER_S, 0, ("a@x",),
+                       {"size": 100}),
         ]
         tl = MemoryTimeline.from_events(events)
         assert tl.peak_bytes == 150

@@ -7,6 +7,7 @@ from repro.core import BlockBuilder, TensorAnn, const
 from repro.obs import TraceRecorder
 from repro.runtime import TEST_DEVICE, VirtualMachine
 from repro.runtime.ndarray import NDArray
+from repro.runtime.profiler import to_as
 
 
 def _build(n_bound=64, **flags):
@@ -35,7 +36,7 @@ class TestExactAccounting:
         vm.tracer = TraceRecorder()
         _run(vm)
         _run(vm)  # second run: graph replay path
-        assert abs(vm.tracer.total_time_s() - vm.stats.time_s) < 1e-9
+        assert vm.tracer.total_time_as() == vm.stats.time_as
 
     def test_disabled_tracing_is_bit_identical(self):
         plain = VirtualMachine(_build(), TEST_DEVICE, concrete=True)
@@ -59,7 +60,8 @@ class TestExactAccounting:
             if e.kind == "builtin":
                 continue
             assert e.args["roofline_s"] >= 0.0
-            assert abs(e.args["roofline_s"] + e.args["launch_s"] - e.dur_s) < 1e-12
+            assert (to_as(e.args["roofline_s"]) + to_as(e.args["launch_s"])
+                    == e.dur_as)
             # Outside graph replay, every launch pays the overhead.
             assert e.args["launch_s"] == TEST_DEVICE.kernel_launch_overhead
 

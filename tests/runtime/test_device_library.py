@@ -11,6 +11,7 @@ from repro.runtime import (
     RTX_4090,
     TEST_DEVICE,
 )
+from repro.runtime.profiler import to_as
 
 
 class TestDeviceModel:
@@ -38,7 +39,8 @@ class TestDeviceModel:
     def test_launch_overhead_toggle(self):
         with_l = TEST_DEVICE.kernel_time(1e6, 1e6, 0.5, include_launch=True)
         without = TEST_DEVICE.kernel_time(1e6, 1e6, 0.5, include_launch=False)
-        assert with_l - without == pytest.approx(TEST_DEVICE.kernel_launch_overhead)
+        assert (to_as(with_l - without)
+                == to_as(TEST_DEVICE.kernel_launch_overhead))
 
     def test_with_overrides(self):
         faster = TEST_DEVICE.with_overrides(mem_bandwidth=2e11)

@@ -20,64 +20,64 @@ class TestExecutionStats:
         assert a.peak_bytes == 300
 
     def test_merge_sums_every_counter(self):
-        a = ExecutionStats(time_s=1.0, kernel_launches=2, lib_calls=1,
-                           builtin_calls=3, kernel_time_s=0.5,
-                           launch_overhead_s=0.1)
-        b = ExecutionStats(time_s=2.0, kernel_launches=5, lib_calls=4,
-                           builtin_calls=7, kernel_time_s=1.5,
-                           launch_overhead_s=0.3)
+        a = ExecutionStats(time_as=10, kernel_launches=2, lib_calls=1,
+                           builtin_calls=3, kernel_time_as=5,
+                           launch_overhead_as=1)
+        b = ExecutionStats(time_as=20, kernel_launches=5, lib_calls=4,
+                           builtin_calls=7, kernel_time_as=15,
+                           launch_overhead_as=3)
         a.merge(b)
-        assert a.time_s == 3.0
+        assert a.time_as == 30
         assert a.kernel_launches == 7
         assert a.lib_calls == 5
         assert a.builtin_calls == 10
-        assert a.kernel_time_s == 2.0
-        assert abs(a.launch_overhead_s - 0.4) < 1e-12
+        assert a.kernel_time_as == 20
+        assert a.launch_overhead_as == 4
 
     def test_merge_serial_sums_times_and_maxes_peak(self):
         # Back-to-back work on one clock: every time field sums
         # (including the comm breakout), peak_bytes is a high-water
         # mark across distinct pools and takes the max.
-        a = ExecutionStats(time_s=1.0, kernel_time_s=0.5,
-                           launch_overhead_s=0.1, comm_time_s=0.25,
+        a = ExecutionStats(time_as=100, kernel_time_as=50,
+                           launch_overhead_as=10, comm_time_as=25,
                            kernel_launches=3)
         a.record_alloc(200)
-        b = ExecutionStats(time_s=2.0, kernel_time_s=1.0,
-                           launch_overhead_s=0.2, comm_time_s=0.5,
+        b = ExecutionStats(time_as=200, kernel_time_as=100,
+                           launch_overhead_as=20, comm_time_as=50,
                            kernel_launches=4)
         b.record_alloc(500)
         merged = ExecutionStats.merge_serial([a, b])
-        assert merged.time_s == 3.0
-        assert merged.kernel_time_s == 1.5
-        assert abs(merged.launch_overhead_s - 0.3) < 1e-12
-        assert merged.comm_time_s == 0.75
+        assert merged.time_as == 300
+        assert merged.kernel_time_as == 150
+        assert merged.launch_overhead_as == 30
+        assert merged.comm_time_as == 75
         assert merged.kernel_launches == 7
         assert merged.peak_bytes == 500
         assert merged.current_bytes == 700
 
     def test_merge_serial_single_part_returned_as_is(self):
-        a = ExecutionStats(time_s=1.0)
+        a = ExecutionStats(time_as=1)
         assert ExecutionStats.merge_serial([a]) is a
 
     def test_merge_parallel_maxes_wall_time_sums_counters(self):
         # Lockstep shards/replicas: wall-time fields take the max
         # (nobody leaves the barrier before the slowest), counters and
         # byte totals sum, peak_bytes stays per-device.
-        fast = ExecutionStats(time_s=1.0, kernel_time_s=0.4,
-                              launch_overhead_s=0.1, comm_time_s=0.2,
+        fast = ExecutionStats(time_as=10, kernel_time_as=4,
+                              launch_overhead_as=1, comm_time_as=2,
                               kernel_launches=10, lib_calls=2,
                               builtin_calls=5)
         fast.record_alloc(300)
-        slow = ExecutionStats(time_s=4.0, kernel_time_s=3.0,
-                              launch_overhead_s=0.5, comm_time_s=0.9,
+        slow = ExecutionStats(time_as=40, kernel_time_as=30,
+                              launch_overhead_as=5, comm_time_as=9,
                               kernel_launches=1, lib_calls=1,
                               builtin_calls=2)
         slow.record_alloc(100)
         merged = ExecutionStats.merge_parallel([fast, slow])
-        assert merged.time_s == 4.0
-        assert merged.kernel_time_s == 3.0
-        assert merged.launch_overhead_s == 0.5
-        assert merged.comm_time_s == 0.9
+        assert merged.time_as == 40
+        assert merged.kernel_time_as == 30
+        assert merged.launch_overhead_as == 5
+        assert merged.comm_time_as == 9
         assert merged.kernel_launches == 11
         assert merged.lib_calls == 3
         assert merged.builtin_calls == 7
@@ -85,15 +85,16 @@ class TestExecutionStats:
         assert merged.current_bytes == 400
         assert merged.peak_bytes == 300
         # Fresh snapshot, inputs untouched.
-        assert fast.time_s == 1.0 and slow.kernel_launches == 1
+        assert fast.time_as == 10 and slow.kernel_launches == 1
 
     def test_merge_parallel_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one part"):
             ExecutionStats.merge_parallel([])
 
     def test_summary_includes_builtin_and_time_split(self):
-        stats = ExecutionStats(time_s=1.0, builtin_calls=4,
-                               kernel_time_s=0.7, launch_overhead_s=0.2)
+        stats = ExecutionStats(time_as=10**18, builtin_calls=4,
+                               kernel_time_as=7 * 10**17,
+                               launch_overhead_as=2 * 10**17)
         summary = stats.summary()
         assert summary["builtin_calls"] == 4
         assert summary["kernel_time_s"] == 0.7

@@ -5,11 +5,13 @@ There is no knob that turns the plans off, so the reference is a VM with
 a :class:`TraceRecorder` attached — tracing always interprets and only
 reads the clock.  The differential test drives a traced and a plain VM
 with one generated sequence of calls and demands *exact* equality of
-every :class:`ExecutionStats` field (floats included) after every step.
+every :class:`ExecutionStats` field (integer times included) after every
+step.
 The rest pins the fallback list: what must never be served from a plan.
 """
 
 import functools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from repro.runtime import (
     VMFunction,
     const_dim,
 )
+from repro.runtime.vm import _OP_ALLOC, _OP_RELEASE, _OP_STORAGE
 
 PAGE = 4
 BLOCKS = 24
@@ -182,6 +185,70 @@ def test_memoized_mesh_matches_interpreting_mesh(steps):
         assert memo.vm.shard_stats == ref.vm.shard_stats, step
         assert memo.vm.stats == ref.vm.stats, step
         assert _shapes(got) == _shapes(want), step
+
+
+#: A fixed sequence that revisits its signatures, so most calls hit a plan;
+#: "graph" toggles capture off and on, "reset" drops the pool.
+_SCRIPT = [
+    ("decode", 1, 4), ("decode", 1, 4), ("prefill", 2, 6),
+    ("decode_paged", 2, 4), ("feed_back", 0, 0), ("decode", 1, 4),
+    ("prefill", 2, 6), ("decode_paged", 2, 4), ("feed_back", 0, 0),
+    ("reset", False, 0), ("decode", 2, 6), ("decode", 2, 6),
+    ("graph", False, 0), ("decode", 1, 4), ("decode", 1, 4),
+    ("graph", True, 0), ("decode_paged", 2, 4), ("prefill", 2, 6),
+]
+_PIPELINES = [(True, True), (True, False), (False, True)]
+
+
+@pytest.mark.parametrize("memory_planning,bounded,tp", [
+    *((p, b, 1) for p, b in _PIPELINES), (True, True, 2)])
+def test_plan_hits_charge_exactly_what_tracing_interprets(
+        memory_planning, bounded, tp):
+    exe, params, cfg = _llama(memory_planning, bounded, tp)
+
+    def vm(traced):
+        if tp == 1:
+            ref, memo = _pair(exe)
+            return _Driver(ref if traced else memo, params, cfg)
+        mesh = MeshExecutor(exe, TEST_DEVICE, tp, interconnect=NVLINK)
+        if traced:
+            mesh.tracer = TraceRecorder()
+        return _Driver(MeshVM(mesh), params, cfg, tp=tp, graph_vms=mesh.vms)
+
+    ref, memo = vm(True), vm(False)
+    for step in _SCRIPT:
+        ref.step(*step), memo.step(*step)
+        for f in fields(ExecutionStats):
+            assert (getattr(memo.vm.stats, f.name)
+                    == getattr(ref.vm.stats, f.name)), (step, f.name)
+    assert memo.vm.plan_cache_info().hits >= 5
+    assert ref.vm.plan_cache_info().hits == 0
+    if tp > 1:
+        assert memo.vm.stats.comm_time_as > 0
+
+
+def test_a_plan_holds_only_pool_and_storage_effects():
+    """Kernels, builtins, graph launches and wire time are in a plan's
+    totals; its effects are the pool and storage traffic alone."""
+    seen = set()
+    for memory_planning, bounded in _PIPELINES:
+        exe, params, cfg = _llama(memory_planning, bounded)
+        vm = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+        driver = _Driver(vm, params, cfg)
+        for step in _SCRIPT:
+            driver.step(*step)
+        plans = vm.replay_plans.plans.values()
+        assert plans
+        for plan in plans:
+            ops = {op for op, _ in plan.effects}
+            assert ops <= {_OP_ALLOC, _OP_RELEASE, _OP_STORAGE}
+            seen |= ops
+            totals = plan.totals
+            assert totals.kernel_launches + totals.lib_calls > 0
+            assert totals.time_as > 0
+            assert (totals.allocations, totals.allocated_bytes_total,
+                    totals.current_bytes, totals.peak_bytes) == (0, 0, 0, 0)
+    assert seen == {_OP_ALLOC, _OP_RELEASE, _OP_STORAGE}
 
 
 # -- an abstract mesh is one VM: N interpreting rank VMs are the oracle ----------------

@@ -2,12 +2,12 @@
 
 One VM serves many scheduler iterations; per-iteration metering must not
 perturb allocator state or double-count anything.  The bar matches the
-obs-trace invariant (sum of slice durations == stats.time_s): summed
-per-iteration deltas reproduce the end-to-end totals, and an
+obs-trace invariant (sum of slice durations == stats.time_as): summed
+per-iteration deltas reproduce the end-to-end totals exactly, and an
 uninterrupted run measures identically to a windowed one.
 """
 
-import math
+import itertools
 
 import numpy as np
 
@@ -53,9 +53,8 @@ def test_deltas_sum_to_end_to_end_totals():
     total = vm.stats.delta(start)
     for field in COUNTER_FIELDS:
         assert getattr(merged, field) == getattr(total, field), field
-    assert math.isclose(merged.time_s, total.time_s, rel_tol=0, abs_tol=1e-9)
-    assert math.isclose(merged.kernel_time_s, total.kernel_time_s,
-                        rel_tol=0, abs_tol=1e-9)
+    assert merged.time_as == total.time_as
+    assert merged.kernel_time_as == total.kernel_time_as
     assert merged.peak_bytes == total.peak_bytes
 
 
@@ -97,3 +96,32 @@ def test_delta_peak_is_absolute_high_water_mark():
     assert delta.peak_bytes == 100  # absolute peak, not a difference
     assert delta.current_bytes == -60
     assert delta.allocations == 1
+
+
+def test_merges_do_not_depend_on_the_order_of_their_parts():
+    """Integer time makes merging associative and commutative: every
+    ordering of real per-iteration deltas merges to the same stats."""
+    vm, params = _vm()
+    cfg = TINY_LLAMA
+    deltas = []
+    for entry, batch, length in [("decode", 1, 4), ("prefill", 2, 7),
+                                 ("decode", 2, 8), ("prefill", 1, 13),
+                                 ("decode", 3, 5)]:
+        before = vm.stats.copy()
+        if entry == "decode":
+            _decode(vm, params, batch=batch, context=length)
+        else:
+            caches = [NDArray.abstract(
+                (batch, 0, cfg.num_kv_heads, cfg.head_dim), cfg.dtype)
+                for _ in range(2 * cfg.num_layers)]
+            vm.run("prefill", NDArray.abstract((batch, length), "i64"),
+                   *caches, *params)
+        deltas.append(vm.stats.delta(before))
+    orders = list(itertools.permutations(deltas))
+    assert len({d.time_as for d in deltas}) == len(deltas)
+    # The parts have teeth: as float seconds, their sum moves with order.
+    assert len({sum(d.time_s for d in order) for order in orders}) > 1
+    for merge in (ExecutionStats.merge_serial, ExecutionStats.merge_parallel):
+        first = merge(list(orders[0]))
+        for order in orders[1:]:
+            assert merge(list(order)) == first, merge.__name__

@@ -1,23 +1,24 @@
-"""One accounting path: only the appliers change what the VM charges.
+"""One path for live-decided charges: only the appliers touch pool state.
 
-Interpretation and replay plans charge through the same applier methods
-(DESIGN.md §16), so "memoized == interpreted" holds by construction —
-as long as no other code in ``vm.py`` touches ``stats``, the pool or the
-storages.  This reads ``vm.py``'s syntax tree and fails on an
-``ExecutionStats`` field assignment, a ``record_alloc`` / ``record_free``
-call or a ``pool.allocate`` / ``pool.release`` call anywhere else.
+A replay plan adds the call's recorded totals and re-runs only its pool
+and storage effects (DESIGN.md §16), so "memoized == interpreted" holds
+by construction — as long as everything that depends on live pool or
+storage state goes through an applier.  This reads ``vm.py``'s syntax
+tree and fails on an allocation-counter assignment, a ``record_alloc`` /
+``record_free`` call, a ``pool.allocate`` / ``pool.release`` call or a
+read of ``alloc_overhead`` anywhere else.
 """
 
 import ast
 import inspect
-from dataclasses import fields
 
-from repro.runtime import ExecutionStats, vm
+from repro.runtime import vm
 
-APPLIERS = {"_kernel", "_charge", "_wire", "_graph_launch", "_builtin",
-            "_capture", "_pool_allocate", "_pool_release", "_storage"}
+APPLIERS = {"_alloc_charge", "_pool_allocate", "_pool_release", "_storage"}
 ALLOWED = APPLIERS | {"__init__", "reset_stats"}
-STATS_FIELDS = {f.name for f in fields(ExecutionStats)}
+#: The ``ExecutionStats`` fields that pool and storage traffic move.
+POOL_FIELDS = {"allocations", "allocated_bytes_total", "escaping_bytes_total",
+               "current_bytes", "peak_bytes"}
 TREE = ast.parse(inspect.getsource(vm))
 
 
@@ -36,8 +37,10 @@ def _charges(node):
         elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
             targets = [sub.target]
         for target in targets:
-            if isinstance(target, ast.Attribute) and target.attr in STATS_FIELDS:
+            if isinstance(target, ast.Attribute) and target.attr in POOL_FIELDS:
                 yield sub.lineno, f"assigns .{target.attr}"
+        if isinstance(sub, ast.Attribute) and sub.attr == "alloc_overhead":
+            yield sub.lineno, "reads .alloc_overhead"
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
             attr, owner = sub.func.attr, sub.func.value
             if attr in ("record_alloc", "record_free"):
@@ -62,5 +65,6 @@ def test_only_appliers_change_accounting_state():
 
 def test_replay_is_a_decode_loop_over_the_appliers():
     source = ast.unparse(_methods()["_apply_plan"])
-    assert "stats" not in source
+    assert source.count("stats") == 1
+    assert "self.stats.merge(plan.totals)" in source
     assert "+=" not in source

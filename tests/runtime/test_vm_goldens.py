@@ -1,8 +1,8 @@
 """VM goldens: the absolute numbers the VM charges, committed as text.
 
-Replay plans and interpretation charge through the same appliers
-(DESIGN.md §16), so a traced-vs-memoized differential can no longer
-catch a wrong charge both paths share.  These goldens can: every
+A replay plan adds the totals interpretation charged (DESIGN.md §16), so
+a traced-vs-memoized differential cannot catch a wrong charge both paths
+share.  These goldens can: every
 :class:`ExecutionStats` field, as ``repr``, after every call of
 
 * 20 scripted tiny-Llama calls (``decode``, ``prefill``,

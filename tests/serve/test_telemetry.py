@@ -29,6 +29,7 @@ from repro.models import TINY_DENOISE, TINY_LLAMA, TINY_WHISPER
 from repro.obs import validate_chrome_trace
 from repro.runtime import TEST_DEVICE
 from repro.runtime.device import ALL_DEVICES
+from repro.runtime.profiler import to_as
 from repro.serve import (
     EngineConfig,
     EngineTelemetry,
@@ -86,11 +87,13 @@ def _run(telemetry=None, spec=None, num_blocks=128, **wl):
 
 
 def _it(t0, t1=None, **fields):
-    return IterationEvent(t0, t0 if t1 is None else t1, **fields)
+    """An iteration over ``[t0, t1]`` seconds (logs carry attoseconds)."""
+    return IterationEvent(to_as(t0), to_as(t0 if t1 is None else t1),
+                          **fields)
 
 
 def _arrivals(*req_ids):
-    return [Arrival(0.0, r, "llm", 8, 4) for r in req_ids]
+    return [Arrival(0, r, "llm", 8, 4) for r in req_ids]
 
 
 def _finish(seq_id, ttft, tpot=None, tokens=1):
@@ -405,7 +408,7 @@ def _spans(tel):
 def test_span_lifecycle_with_queueing_and_phases():
     prefill = Participation(7, "prefill", "prefill", 0, 4)
     tel = _fold(
-        Arrival(0.0, 7, "llm", 8, 3),
+        Arrival(0, 7, "llm", 8, 3),
         _it(1.0, 2.0, admitted=(7,), participations=(prefill,)),
         # merges into one segment
         _it(2.0, 3.0, participations=(prefill._replace(past=4),)),
@@ -465,7 +468,7 @@ def test_span_finalize_closes_dangling():
         *_arrivals(3),
         _it(0.5, 1.0, admitted=(3,), participations=(
             Participation(3, "prefill", "prefill", 0, 4),)),
-        Teardown(2.0, {}))
+        Teardown(to_as(2.0), {}))
     root = next(s for s in tel.spans.spans if s.name == "request")
     assert root.end_s == 2.0
     assert root.args["unfinished"] is True
