@@ -28,8 +28,9 @@ import threading
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..runtime.plans import describe as _describe
 from ..runtime.profiler import ExecutionStats
-from ..runtime.vm import PlanCacheInfo, VirtualMachine, VMError, _describe
+from ..runtime.vm import PlanCacheInfo, VirtualMachine, VMError
 from .interconnect import Interconnect
 
 #: How long a rank waits at a collective for its peers before giving up.

@@ -73,6 +73,17 @@ class NDArray:
         return NDArray(shape, dtype)
 
     @staticmethod
+    def trusted(shape: Tuple[int, ...], dtype: str,
+                storage: Optional[Storage]) -> "NDArray":
+        """An abstract array from a tuple of ints and a checked dtype,
+        without the constructor's conversions (replay plans build these
+        for every call)."""
+        array = NDArray.__new__(NDArray)
+        array.shape, array.dtype, array.data, array.storage = (
+            shape, dtype, None, storage)
+        return array
+
+    @staticmethod
     def empty(shape: Sequence[int], dtype: str, concrete: bool,
               storage: Optional[Storage] = None) -> "NDArray":
         data = None

@@ -265,54 +265,29 @@ def ccl_combine(kind: str, chunks: List[np.ndarray], rank: int,
 
 # -- replay plans -------------------------------------------------------------------
 #
-# An abstract call's accounting is decided by its signature alone, so the VM
-# records, per signature, what interpretation charged and replays it on every
-# later call (DESIGN.md §16).  Clock terms and counters are integers, so a
-# plan keeps their per-call totals.  Only pool and storage effects depend on
-# live state (a reused block or an unchanged storage costs nothing), so a
-# plan keeps those in order as ``(op, operands)``: each op is one *applier*
-# method on the VM that appends the effect to the active recorder and
-# changes ``stats`` / ``pool`` / ``_storage_cache``, and a replay calls the
-# same appliers in recorded order.
+# An abstract call's accounting is decided by its shape class and the
+# values its shape heap takes, so the VM records one plan per class and
+# evaluates it for every later call of the class (``plans.py``, DESIGN.md
+# §16).  Pool and storage effects depend on live state (a reused block or
+# an unchanged storage costs nothing), so a plan keeps those in order as
+# ``(op, operands)``: each op is one *applier* method on the VM that
+# appends the effect to the active recorder and changes ``stats`` /
+# ``pool`` / ``_storage_cache``, and a replay calls the same appliers in
+# recorded order.
 
 _OP_ALLOC, _OP_RELEASE, _OP_STORAGE = range(3)
-
-
-class _TensorSpec(NamedTuple):
-    """A tensor of a plan's result template."""
-
-    shape: Tuple[int, ...]
-    dtype: str
-    storage_key: Optional[Tuple]  # into the live ``_storage_cache``
-
-
-class _Unrecordable(Exception):
-    """The call's result cannot be rebuilt from a template."""
-
-
-class _Plan(NamedTuple):
-    #: The function the plan was recorded from (an executable is mutable).
-    func: "VMFunction"
-    #: Everything the call charged besides its pool and storage effects.
-    totals: ExecutionStats
-    effects: Tuple[Tuple[int, Tuple], ...]
-    result: object
 
 
 class ReplayPlans:
     """Replay plans recorded under one ``context``: the executable, device,
     library registry, interconnect and mesh world — everything besides the
-    call's own signature that abstract accounting reads."""
+    call's own arguments that abstract accounting reads.  ``plans`` maps
+    ``(function name, replays a graph?, argument class)`` to a
+    :class:`~repro.runtime.plans.ClassPlan`."""
 
     def __init__(self, context: Tuple):
         self.context = context
-        self.plans: Dict[Tuple, _Plan] = {}
-        self._interned: Dict[Tuple, Tuple] = {}
-
-    def intern(self, value: Tuple) -> Tuple:
-        """One object per distinct argument description, effect or result
-        tensor: plans repeat the same few."""
-        return self._interned.setdefault(value, value)
+        self.plans: Dict[Tuple, "_plans.ClassPlan"] = {}
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -322,42 +297,25 @@ class PlanCacheInfo(NamedTuple):
     """What :meth:`VirtualMachine.plan_cache_info` returns, modelled on
     ``functools.lru_cache``'s ``cache_info()``."""
 
+    #: Calls evaluated from the plan of their shape class.
     hits: int
+    #: Plan-eligible calls that were interpreted: the first of a class,
+    #: a capture, or a call whose class plan declined it (a failing check,
+    #: a new capture key), which then raises or captures as interpreted.
     misses: int
+    #: Shape classes with a plan.
     plans: int
     #: Calls that ran the interpreter: the misses, plus every call the
     #: plans do not cover (concrete, traced, undescribable argument).
     interpreted_calls: int
 
 
-def _describe(args) -> Optional[List[Tuple]]:
-    """One tuple per argument holding everything abstract interpretation
-    can read from it; None when an argument is of a kind this cannot
-    describe.
-
-    ``MatchShape`` checks dtypes, ``KillTensor`` tells planned tensors from
-    pool ones, and ``True == 1``: all three are spelled out.
-    """
-    sig = []
-    for arg in args:
-        kind = type(arg)
-        if kind is NDArray:
-            if arg.storage is None:
-                sig.append((arg.dtype, *arg.shape))
-            else:
-                sig.append((Storage, arg.dtype, *arg.shape))
-        elif kind is ShapeTuple:
-            sig.append((kind, *arg.values))
-        elif kind is int or kind is bool:
-            sig.append((kind, arg))
-        elif kind is tuple:
-            inner = _describe(arg)
-            if inner is None:
-                return None
-            sig.append((kind, *inner))
-        else:
-            return None
-    return sig
+def _efficiency_rule(func: tir.PrimFunc) -> Tuple[bool, Optional[float], bool]:
+    """What a tensor program's efficiency depends on besides the rows of
+    its first output: (opaque schedule?, tuned efficiency, matmul?)."""
+    attrs = func.attrs
+    return (attrs.get("schedule_class") == "opaque",
+            attrs.get("tuned_efficiency"), attrs.get("op_kind") == "matmul")
 
 
 class VirtualMachine:
@@ -399,6 +357,8 @@ class VirtualMachine:
         self._replay_depth = 0
         self._const_cache: Dict[int, NDArray] = {}
         self._plans: Optional[ReplayPlans] = None
+        #: Bumped by every storage allocation or resize (see ``_storage``).
+        self._storage_epoch = 0
         #: The effects of the call being recorded (None: not recording).
         self._recorder: Optional[List[Tuple[int, Tuple]]] = None
         #: Every ``alloc_overhead`` charged so far (kept out of plan totals).
@@ -412,29 +372,38 @@ class VirtualMachine:
     def run(self, func_name: str, *args):
         """Invoke a VM function with NDArray / ShapeTuple / int arguments.
 
-        An abstract, untraced call whose signature was seen before applies
-        its recorded replay plan instead of interpreting; every simulated
-        number comes out the same either way (see :class:`ReplayPlans`).
+        An abstract, untraced call whose shape class was seen before is
+        evaluated from the class's replay plan instead of interpreted;
+        every simulated number comes out the same either way (see
+        :class:`ReplayPlans`).
         """
         func = self.exe.functions.get(func_name)
-        sig = None
+        described = None
         if not self.concrete and self.tracer is None and func is not None:
-            sig = _describe(args)
-        if sig is None:
+            described = _plans.describe(args)
+        if described is None:
             self._interpreted_calls += 1
             return self._call(func_name, list(args))
+        sig, dims = described
         replays = bool(func.attrs.get("cuda_graph") and self.enable_cuda_graph)
         key = (func_name, replays, *sig)
         table = self.replay_plans
         plan = table.plans.get(key)
-        if plan is not None and plan.func is func:
+        if plan is not None and plan.func is not func:
+            plan = None
+        bound = None if plan is None else plan.bind(self, args, dims)
+        if bound is not None:
             self._plan_hits += 1
-            return self._apply_plan(plan)
+            result = self._apply_plan(bound)
+            plan.epoch = self._storage_epoch
+            return result
 
         self._plan_misses += 1
         self._interpreted_calls += 1
-        key = (func_name, replays, *map(table.intern, sig))
-        return self._record_plan(table, key, func_name, func, args)
+        if plan is not None:  # declined: interpret, as if there were none
+            return self._call(func_name, list(args))
+        return self._record_plan(table, key, func_name, func, replays, args,
+                                 sig, dims)
 
     def reset_stats(self) -> ExecutionStats:
         """Start a fresh :class:`ExecutionStats` window; returns the old one.
@@ -475,12 +444,13 @@ class VirtualMachine:
     # -- replay plans -------------------------------------------------------------
 
     def _record_plan(self, table: ReplayPlans, key: Tuple, func_name: str,
-                     func: VMFunction, args):
-        """Interpret the call and keep its effects as the plan for ``key``.
+                     func: VMFunction, replays: bool, args, sig: Tuple,
+                     dims: List[int]):
+        """Interpret the call and keep the plan of its class under ``key``.
 
         Nothing is kept when the call raises, captures a graph or makes a
-        nested call (the interpreter drops the recorder), or returns a
-        value :meth:`_result_template` cannot describe.
+        nested call (the interpreter drops the recorder), or holds what
+        :func:`~repro.runtime.plans.record` cannot describe.
         """
         before, alloc_before = self.stats.copy(), self._alloc_as
         self._recorder = []
@@ -490,73 +460,29 @@ class VirtualMachine:
         finally:
             self._recorder = None
         if recorder is not None:
-            try:
-                template = self._result_template(table, result, args)
-            except _Unrecordable:
-                return result
             charged = self.stats.delta(before)
             totals = replace(
                 charged,
                 time_as=charged.time_as - (self._alloc_as - alloc_before),
                 allocations=0, allocated_bytes_total=0,
                 escaping_bytes_total=0, current_bytes=0, peak_bytes=0)
-            table.plans[key] = _Plan(
-                func, totals, tuple(map(table.intern, recorder)), template)
+            plan = _plans.record(self, func, replays, sig, dims, args,
+                                 totals, recorder, result)
+            if plan is not None:
+                plan.epoch = self._storage_epoch
+                table.plans[key] = plan
         return result
 
-    def _result_template(self, table: ReplayPlans, result, args):
-        """``result`` with every tensor replaced by a :class:`_TensorSpec`.
-
-        Raises :class:`_Unrecordable` for a tensor that aliases an argument
-        (the caller's object, not ours to rebuild) or a value of a kind a
-        template cannot hold.
-        """
-        arg_ids = set()
-        pending = list(args)
-        while pending:
-            arg = pending.pop()
-            if type(arg) is tuple:
-                pending.extend(arg)
-            else:
-                arg_ids.add(id(arg))
-        storage_keys = {id(s): k for k, s in self._storage_cache.items()}
-
-        def build(value):
-            kind = type(value)
-            if kind is tuple:
-                return tuple([build(v) for v in value])
-            if kind is ShapeTuple or kind is int or kind is bool:
-                return value  # immutable: every replay may return this one
-            if kind is not NDArray or id(value) in arg_ids:
-                raise _Unrecordable
-            key = None
-            if value.storage is not None:
-                key = storage_keys.get(id(value.storage))
-                if key is None:
-                    raise _Unrecordable
-            return table.intern(_TensorSpec(value.shape, value.dtype, key))
-
-        return build(result)
-
-    def _instantiate(self, template):
-        kind = type(template)
-        if kind is _TensorSpec:
-            shape, dtype, key = template
-            storage = None if key is None else self._storage_cache[key]
-            return NDArray(shape, dtype, storage=storage)
-        if kind is tuple:
-            return tuple([self._instantiate(t) for t in template])
-        return template
-
-    def _apply_plan(self, plan: _Plan):
-        """Replay ``plan``: add its totals, then call the appliers with the
-        recorded pool and storage effects in recorded order, so reuse and
-        resizes are decided against live state as the interpreter would."""
+    def _apply_plan(self, plan):
+        """Replay a plan bound to one call: add its totals, then call the
+        appliers with its pool and storage effects in recorded order, so
+        reuse and resizes are decided against live state as the
+        interpreter would."""
         self.stats.merge(plan.totals)
         appliers = self._pool_allocate, self._pool_release, self._storage
         for op, operands in plan.effects:
             appliers[op](*operands)
-        return self._instantiate(plan.result)
+        return _plans.instantiate(plan.result, plan.env, self._storage_cache)
 
     # -- function invocation ------------------------------------------------------
 
@@ -829,6 +755,7 @@ class VirtualMachine:
         cached = self._storage_cache.get(key)
         if cached is not None and cached.size == size:
             return cached
+        self._storage_epoch += 1
         if cached is not None:
             self.stats.record_free(cached.size)
             if self.tracer is not None:
@@ -855,10 +782,12 @@ class VirtualMachine:
         sym_values = [self._dim_value(d, frame) for d in instr.sym_args]
 
         bindings = self._bind_shapes(func, inputs + outputs, sym_values)
-        flops, nbytes = self._kernel_cost(func, bindings)
-        event = self._launch(False, instr.func, flops, nbytes,
-                             self._efficiency(func, outputs), instr.prov,
-                             inputs + outputs, bindings)
+        costs = self._cost_terms(func)
+        rows = math.prod(outputs[0].shape[:-1]) if outputs else None
+        event = self._launch(
+            False, instr.func, costs.flops(bindings), costs.bytes(bindings),
+            self._efficiency(_efficiency_rule(func), rows), instr.prov,
+            inputs + outputs, bindings)
         if self.concrete:
             arrays = [a.numpy() for a in inputs] + [a.numpy() for a in outputs]
             tir.run_prim_func(func, arrays, sym_bindings=bindings)
@@ -874,14 +803,9 @@ class VirtualMachine:
             )
         inputs = [self._as_ndarray(frame.regs[r], instr.name) for r in instr.args]
         outputs = [self._as_ndarray(frame.regs[r], instr.name) for r in instr.outs]
-        in_sd = [(a.shape, a.dtype) for a in inputs]
-        out_sd = [(a.shape, a.dtype) for a in outputs]
-        flops, nbytes = kernel.cost(in_sd, out_sd)
-        efficiency = {
-            "lib": self.device.lib_efficiency,
-            "gen": self.device.gen_efficiency,
-            "gen_matvec": self.device.gen_matvec_efficiency,
-        }[kernel.efficiency_class(in_sd, out_sd)]
+        flops, nbytes, efficiency = self._lib_cost(
+            kernel, [(a.shape, a.dtype) for a in inputs],
+            [(a.shape, a.dtype) for a in outputs])
         event = self._launch(True, instr.name, flops, nbytes, efficiency,
                              instr.prov, inputs + outputs)
         if self.concrete:
@@ -924,19 +848,20 @@ class VirtualMachine:
             stats.kernel_launches += 1
         return event
 
-    def _efficiency(self, func: tir.PrimFunc, outputs: List[NDArray]) -> float:
-        """The fraction of roofline a generated tensor program reaches."""
+    def _efficiency(self, rule, rows: Optional[int]) -> float:
+        """The fraction of roofline a generated tensor program reaches,
+        from its :func:`_efficiency_rule` and its first output's rows."""
+        opaque, tuned, matmul = rule
         efficiency = self.device.gen_efficiency
-        if func.attrs.get("schedule_class") == "opaque":
+        if opaque:
             # No analysis rule covers this program: the naive fallback
             # schedule applies unless Ansor-style tuning found better
             # (§4.6's "rare tensor programs" case).
             efficiency = self.device.gen_efficiency * 0.6
-        tuned = func.attrs.get("tuned_efficiency")
         if tuned is not None:
             efficiency = float(tuned)
-        if func.attrs.get("op_kind") == "matmul" and outputs:
-            if math.prod(outputs[0].shape[:-1]) == 1:
+        if matmul and rows is not None:
+            if rows == 1:
                 # Compiler-specialized matrix-vector kernels at batch 1
                 # (the paper's Fig. 15 advantage).
                 efficiency = self.device.gen_matvec_efficiency
@@ -946,6 +871,15 @@ class VirtualMachine:
                 # lowering is the biggest Fig. 17 contributor).
                 efficiency = self.device.gen_gemm_efficiency
         return efficiency
+
+    def _lib_cost(self, kernel, in_sd, out_sd) -> Tuple[int, int, float]:
+        """(flops, bytes, efficiency) of one library launch."""
+        flops, nbytes = kernel.cost(in_sd, out_sd)
+        return flops, nbytes, {
+            "lib": self.device.lib_efficiency,
+            "gen": self.device.gen_efficiency,
+            "gen_matvec": self.device.gen_matvec_efficiency,
+        }[kernel.efficiency_class(in_sd, out_sd)]
 
     def _bind_shapes(self, func: tir.PrimFunc, arrays: List[NDArray], sym_values):
         bindings: Dict[sym.SymVar, int] = {}
@@ -957,13 +891,12 @@ class VirtualMachine:
                     bindings[dim] = int(actual)
         return bindings
 
-    def _kernel_cost(self, func: tir.PrimFunc, bindings) -> Tuple[int, int]:
-        """(flops, bytes) of one launch: ``func``'s cost terms, built on its
-        first launch, evaluated under the launch's bindings."""
+    def _cost_terms(self, func: tir.PrimFunc) -> tir.CostTerms:
+        """``func``'s cost terms, built on its first launch."""
         costs = self._costs.get(func)
         if costs is None:
             costs = self._costs[func] = tir.cost_terms(func)
-        return costs.flops(bindings), costs.bytes(bindings)
+        return costs
 
     # -- builtins -----------------------------------------------------------------------
 
@@ -1040,8 +973,7 @@ class VirtualMachine:
             full_bytes = arr.size_bytes()
             if kind == "all_gather":
                 full_bytes *= world
-            wire = to_as(
-                getattr(self.interconnect, f"{kind}_s")(world, full_bytes))
+            wire = self._wire_as(kind, world, full_bytes)
             stats.time_as += wire
             stats.comm_time_as += wire
 
@@ -1074,6 +1006,10 @@ class VirtualMachine:
             out = out.copy()
         self._pool_allocate(out.nbytes)
         return NDArray.from_numpy(out)
+
+    def _wire_as(self, kind: str, world: int, nbytes: int) -> int:
+        """The interconnect's ring time of one collective."""
+        return to_as(getattr(self.interconnect, f"{kind}_s")(world, nbytes))
 
     def _builtin_nonzero(self, arr: NDArray) -> NDArray:
         self.stats.time_as += to_as(self.device.kernel_launch_overhead * 2)
@@ -1138,3 +1074,6 @@ _DISPATCH = {
     GetItemI: VirtualMachine._exec_get_item,
     If: VirtualMachine._exec_if,
 }
+
+# Class plans walk the instruction set above.
+from . import plans as _plans  # noqa: E402

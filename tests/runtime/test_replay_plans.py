@@ -6,11 +6,14 @@ a :class:`TraceRecorder` attached — tracing always interprets and only
 reads the clock.  The differential test drives a traced and a plain VM
 with one generated sequence of calls and demands *exact* equality of
 every :class:`ExecutionStats` field (integer times included) after every
-step.
-The rest pins the fallback list: what must never be served from a plan.
+step.  The class-plan oracle does the same over one shape class — dozens
+of signatures a single plan evaluates — and compares pool and storages
+too.  The rest pins the fallback list: what must never be served from a
+plan.
 """
 
 import functools
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -18,13 +21,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro import transform
+from repro import dtypes, transform
 from repro.dist import NVLINK, PCIE, MeshContext, MeshExecutor, MeshVM
+from repro.fuzz import build_module, make_inputs
+from repro.fuzz import generate as generate_program
 from repro.models import TINY_LLAMA, TINY_LLAMA_TP, build_llama
 from repro.obs.trace import TraceRecorder
+from repro.runtime import plans
 from repro.runtime import (
     RTX_4090,
     TEST_DEVICE,
+    AllocStorage,
     AllocTensor,
     CallFunc,
     Executable,
@@ -42,6 +49,8 @@ from repro.runtime import (
     const_dim,
 )
 from repro.runtime.vm import _OP_ALLOC, _OP_RELEASE, _OP_STORAGE
+from repro.serve import (EngineConfig, SchedulerConfig, ServingEngine,
+                         WorkloadConfig, generate)
 
 PAGE = 4
 BLOCKS = 24
@@ -52,16 +61,19 @@ BOUNDS = {"b": 8, "s": 32, "m": 32, "w": 8}
 
 
 @functools.lru_cache(maxsize=None)
-def _llama(memory_planning: bool, bounded: bool, tp: int = 1):
+def _llama(memory_planning: bool, bounded: bool, tp: int = 1,
+           library: bool = True):
     """(executable, abstract params, config) — compiled once per shape of
     the pipeline: planned + bounded dims gives CUDA-graph functions,
-    unbounded dims pool allocations, planning off a pool-only program."""
+    unbounded dims pool allocations, planning off a pool-only program,
+    library dispatch off generated matmuls."""
     cfg = TINY_LLAMA_TP if tp > 1 else TINY_LLAMA
     exported = build_llama(cfg, page_size=PAGE, tp=tp)
     exe = transform.build(
         exported.mod, TEST_DEVICE,
         enable_memory_planning=memory_planning,
         sym_var_upper_bounds=BOUNDS if bounded else {},
+        enable_library_dispatch=library,
     )
     return exe, exported.abstract_params(), cfg
 
@@ -228,8 +240,9 @@ def test_plan_hits_charge_exactly_what_tracing_interprets(
 
 
 def test_a_plan_holds_only_pool_and_storage_effects():
-    """Kernels, builtins, graph launches and wire time are in a plan's
-    totals; its effects are the pool and storage traffic alone."""
+    """Kernel, builtin and graph-launch counters and overheads are in a
+    plan's totals (roofline and wire time are priced per call); its
+    effects are the pool and storage traffic alone."""
     seen = set()
     for memory_planning, bounded in _PIPELINES:
         exe, params, cfg = _llama(memory_planning, bounded)
@@ -249,6 +262,181 @@ def test_a_plan_holds_only_pool_and_storage_effects():
             assert (totals.allocations, totals.allocated_bytes_total,
                     totals.current_bytes, totals.peak_bytes) == (0, 0, 0, 0)
     assert seen == {_OP_ALLOC, _OP_RELEASE, _OP_STORAGE}
+
+
+# -- one class, many signatures: a class plan against interpretation -------------------
+
+
+def _prefill_paged_args(cfg, params, b, s, w, m, blocks=BLOCKS, page=PAGE,
+                        tp=1):
+    shape = (blocks, page, cfg.num_kv_heads // tp, cfg.head_dim)
+    pools = [NDArray.abstract(shape, cfg.dtype)
+             for _ in range(2 * cfg.num_layers)]
+    return [NDArray.abstract((b, s), "i64"), NDArray.abstract((b, w), "i64"),
+            NDArray.abstract((m,), "i64"), *pools, *params]
+
+
+def _class_stream(seed):
+    """``prefill_paged`` signatures ``(b, s, w, m, blocks, page)``, all of
+    one shape class."""
+    rng = random.Random(seed)
+    stream = [(rng.randint(1, 4), rng.randint(2, 8), rng.randint(1, 6),
+               rng.randint(0, 12), BLOCKS, PAGE) for _ in range(30)]
+    stream[3:3] = [(1, 1, 2, 5, BLOCKS, PAGE)]  # one row: the matvec rule
+    # s past its declared bound: a planned storage is too small.
+    stream[8:8] = [(BOUNDS["b"], BOUNDS["s"] + 8, 3, 0, BLOCKS, PAGE)]
+    stream[12:12] = [(2, 3, 4, 1, BLOCKS, PAGE + 1)]  # fails assert_const
+    stream[16:16] = [(2, 3, 4, 1, BLOCKS + 8, PAGE)]  # a new capture key
+    stream[20:20] = [(1, 1, 6, 0, BLOCKS, PAGE)]
+    return stream
+
+
+def _placed(exe, tp, traced):
+    """(run, the VM whose state a run changes): a VM, or a tp mesh."""
+    if tp == 1:
+        vm = VirtualMachine(exe, TEST_DEVICE, concrete=False)
+        if traced:
+            vm.tracer = TraceRecorder()
+        return vm.run, vm
+    mesh = MeshExecutor(exe, TEST_DEVICE, tp, interconnect=NVLINK)
+    if traced:
+        mesh.tracer = TraceRecorder()
+    return MeshVM(mesh).run, mesh.vms[0]
+
+
+def _state(vm):
+    """Every stats field, the pool's free blocks, the storages' sizes."""
+    return ([getattr(vm.stats, f.name) for f in fields(ExecutionStats)],
+            vm.pool._free,
+            {key: s.size for key, s in vm._storage_cache.items()})
+
+
+# Library dispatch off: the generated matmuls' matvec rule is priced too.
+@pytest.mark.parametrize("tp,library", [(1, True), (1, False), (2, True)])
+def test_a_class_plan_matches_interpretation_at_every_signature(tp, library):
+    exe, params, cfg = _llama(True, True, tp, library)
+    (run, vm), (ref_run, ref) = _placed(exe, tp, False), _placed(exe, tp, True)
+    stream = _class_stream(seed=7)
+    classes, outcomes = set(), []
+    for sig in stream:
+        args = _prefill_paged_args(cfg, params, *sig, tp=tp)
+        classes.add(plans.describe(args)[0])
+        got = []
+        for call in (run, ref_run):
+            try:
+                got.append(_shapes(call("prefill_paged", *args)))
+            except VMError as err:
+                got.append(str(err))
+        assert got[0] == got[1], sig
+        assert _state(vm) == _state(ref), sig
+        outcomes.append(got[0])
+    assert len(classes) == 1 and len(set(stream)) >= 30
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert len(errors) == 2
+    assert "does not fit storage" in errors[0]
+    assert f"expected {PAGE}, got {PAGE + 1}" in errors[1]
+    info = vm.plan_cache_info()
+    assert info.plans == 1
+    assert info.hits >= len(stream) - 5
+    if tp == 1:
+        # BLOCKS, BLOCKS + 8 and the page size that fails its check
+        # (capture is charged before the body runs).
+        assert vm.stats.graph_captures == 3
+    else:
+        assert vm.stats.comm_time_as > 0
+
+
+def test_class_plans_match_interpretation_on_fuzz_programs():
+    """200 generated programs (builtins, branches, every op family), each
+    called at six random assignments of its dims."""
+    calls = hits = 0
+    for seed in range(1000, 1200):
+        plan = generate_program(seed)
+        exe = transform.build(build_module(plan), TEST_DEVICE,
+                              sym_var_upper_bounds={d: 8 for d in plan.dims})
+        ref, vm = _pair(exe)
+        rng = random.Random(seed)
+        for _ in range(6):
+            plan.dims = {name: rng.randint(1, 9) for name in plan.dims}
+            args = [NDArray.abstract(a.shape, dtypes.from_numpy(a.dtype))
+                    for a in map(np.asarray, make_inputs(plan))]
+            got = []
+            for run in (vm.run, ref.run):
+                try:
+                    got.append(_shapes(run("main", *args)))
+                except VMError as err:
+                    got.append(str(err))
+            assert got[0] == got[1], (seed, plan.dims)
+            assert _state(vm) == _state(ref), (seed, plan.dims)
+            calls += 1
+        hits += vm.plan_cache_info().hits
+    assert hits > calls / 2
+
+
+def test_an_engine_run_interprets_each_shape_class_at_most_twice(monkeypatch):
+    """The count the class plans exist for, free of host-time noise: one
+    capture and one recording per class, however many signatures."""
+    seen = set()
+    run = VirtualMachine.run
+
+    def counting(vm, func_name, *args):
+        sig, dims = plans.describe(args)
+        seen.add((func_name, sig, tuple(dims)))
+        return run(vm, func_name, *args)
+
+    monkeypatch.setattr(VirtualMachine, "run", counting)
+    engine = ServingEngine(TINY_LLAMA, TEST_DEVICE, EngineConfig(
+        page_size=4, num_blocks=64, scheduler=SchedulerConfig(
+            max_num_seqs=8, max_num_batched_tokens=128, prefill_chunk=16)))
+    engine.run(generate(WorkloadConfig(
+        num_requests=24, seed=0, arrival_rate=200.0, prompt_min=4,
+        prompt_max=20, output_min=2, output_max=12)))
+    classes = {(name, sig) for name, sig, _ in seen}
+    info = engine.plan_cache_info()
+    assert len(seen) >= 20
+    assert info.plans == len(classes)
+    assert info.interpreted_calls <= 2 * len(classes)
+
+
+def test_storage_checks_are_skipped_only_while_no_storage_changed():
+    exe, params, cfg = _llama(True, True)
+    ref, vm = _pair(exe)
+    checked = []
+    storage = vm._storage
+    vm._storage = lambda *args: (checked.append(args[0]), storage(*args))[1]
+    planned = sum(isinstance(i, AllocStorage)
+                  for i in exe.functions["decode_paged"].body)
+
+    def step(fn, args):
+        checked.clear()
+        vm.run(fn, *args)
+        ref.run(fn, *args)
+        assert vm.stats == ref.stats
+        return len(checked)
+
+    for b, w in ((2, 4), (2, 4)):  # capture, then record
+        step("decode_paged", _paged_args(cfg, params, b, w))
+    assert step("decode_paged", _paged_args(cfg, params, 3, 5)) == 0
+    # Another function allocates its storages: the next hit checks again.
+    step("prefill_paged", _prefill_paged_args(cfg, params, 1, 2, 1, 0))
+    assert step("decode_paged", _paged_args(cfg, params, 1, 2)) == planned
+    assert step("decode_paged", _paged_args(cfg, params, 2, 6)) == 0
+    assert vm.plan_cache_info().hits == 3
+
+
+def test_a_storage_grown_by_a_longer_sequence_is_resized_on_a_hit():
+    exe, params, cfg = _llama(True, False)  # storages sized by the context
+    ref, vm = _pair(exe)
+    grown = []
+    for past in (4, 4, 6, 9, 6):
+        before = vm.stats.allocations
+        args = _dense_args(cfg, params, 1, 1, past)
+        vm.run("decode", *args)
+        ref.run("decode", *args)
+        assert vm.stats == ref.stats, past
+        grown.append(vm.stats.allocations > before)
+    assert grown == [True, False, True, True, True]
+    assert vm.plan_cache_info().hits == 4
 
 
 # -- an abstract mesh is one VM: N interpreting rank VMs are the oracle ----------------

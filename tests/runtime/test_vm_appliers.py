@@ -12,7 +12,7 @@ read of ``alloc_overhead`` anywhere else.
 import ast
 import inspect
 
-from repro.runtime import vm
+from repro.runtime import plans, vm
 
 APPLIERS = {"_alloc_charge", "_pool_allocate", "_pool_release", "_storage"}
 ALLOWED = APPLIERS | {"__init__", "reset_stats"}
@@ -68,3 +68,8 @@ def test_replay_is_a_decode_loop_over_the_appliers():
     assert source.count("stats") == 1
     assert "self.stats.merge(plan.totals)" in source
     assert "+=" not in source
+
+
+def test_class_plans_change_no_accounting_state():
+    """A class plan only computes what the appliers are called with."""
+    assert list(_charges(ast.parse(inspect.getsource(plans)))) == []

@@ -87,6 +87,18 @@ def _listed(items, sort):
     return sorted(items, key=_canon) if sort else items
 
 
+#: Time fields of span and trace-event records.
+_TIME_FIELDS = ("ts", "dur", "start_s", "end_s")
+
+
+def _dump_order(item):
+    """How ``dump`` orders a mixed-kind list: by a record's content with
+    its time fields set aside, then by its times.  A last-bit move of a
+    time then leaves two commits' dumps aligned element by element."""
+    rest = {k: v for k, v in item.items() if k not in _TIME_FIELDS}
+    return _canon(rest), _canon([item.get(k) for k in _TIME_FIELDS])
+
+
 def _digest(items, sort):
     items = _listed(items, sort)
     return {
@@ -570,8 +582,11 @@ def _main(argv):
                 if art[0] == "text":
                     (out / f"{art_name}.txt").write_text(art[1])
                 else:
-                    full = (_listed(art[1], art[2]) if art[0] == "list"
-                            else art[1])
+                    full = art[1]
+                    if art[0] == "list":
+                        full = _listed(full, False)
+                        if art[2]:
+                            full.sort(key=_dump_order)
                     (out / f"{art_name}.json").write_text(
                         json.dumps(full, indent=1, sort_keys=True) + "\n")
         return 0
